@@ -154,6 +154,121 @@ class TestRunCoverage:
             run_coverage(cfg, 10, "bayes", 1.0)
 
 
+# (method, alpha_true, background, confidence, seed) -> (trials, covered,
+# skipped) of a 60-trial study on WINDOW.  Pinned from the object-building
+# trial loop (one EnergyBin per bin, one BinnedSpectrum per trial) that the
+# count-list loop replaced; any change here is a change of behaviour.
+GOLDEN_TRIALS = 60
+GOLDEN_COVERAGE = [
+    ('bayes', 50.0, 0.0, 0.68, 2, (60, 37, 0)),
+    ('bayes', 50.0, 0.0, 0.68, 7, (60, 37, 0)),
+    ('bayes', 50.0, 0.0, 0.68, 20260823, (60, 41, 0)),
+    ('bayes', 50.0, 0.0, 0.95, 2, (60, 58, 0)),
+    ('bayes', 50.0, 0.0, 0.95, 7, (60, 59, 0)),
+    ('bayes', 50.0, 0.0, 0.95, 20260823, (60, 57, 0)),
+    ('bayes', 50.0, 2.0, 0.68, 2, (60, 60, 0)),
+    ('bayes', 50.0, 2.0, 0.68, 7, (60, 60, 0)),
+    ('bayes', 50.0, 2.0, 0.68, 20260823, (60, 60, 0)),
+    ('bayes', 50.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('bayes', 50.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('bayes', 50.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+    ('bayes', 115.0, 0.0, 0.68, 2, (60, 40, 0)),
+    ('bayes', 115.0, 0.0, 0.68, 7, (60, 37, 0)),
+    ('bayes', 115.0, 0.0, 0.68, 20260823, (60, 41, 0)),
+    ('bayes', 115.0, 0.0, 0.95, 2, (60, 58, 0)),
+    ('bayes', 115.0, 0.0, 0.95, 7, (60, 55, 0)),
+    ('bayes', 115.0, 0.0, 0.95, 20260823, (60, 55, 0)),
+    ('bayes', 115.0, 2.0, 0.68, 2, (60, 60, 0)),
+    ('bayes', 115.0, 2.0, 0.68, 7, (60, 60, 0)),
+    ('bayes', 115.0, 2.0, 0.68, 20260823, (60, 60, 0)),
+    ('bayes', 115.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('bayes', 115.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('bayes', 115.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+    ('bayes', 300.0, 0.0, 0.68, 2, (60, 39, 0)),
+    ('bayes', 300.0, 0.0, 0.68, 7, (60, 38, 0)),
+    ('bayes', 300.0, 0.0, 0.68, 20260823, (60, 42, 0)),
+    ('bayes', 300.0, 0.0, 0.95, 2, (60, 58, 0)),
+    ('bayes', 300.0, 0.0, 0.95, 7, (60, 56, 0)),
+    ('bayes', 300.0, 0.0, 0.95, 20260823, (60, 57, 0)),
+    ('bayes', 300.0, 2.0, 0.68, 2, (60, 60, 0)),
+    ('bayes', 300.0, 2.0, 0.68, 7, (60, 60, 0)),
+    ('bayes', 300.0, 2.0, 0.68, 20260823, (60, 60, 0)),
+    ('bayes', 300.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('bayes', 300.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('bayes', 300.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+    ('bayes', 1000.0, 0.0, 0.68, 2, (60, 37, 0)),
+    ('bayes', 1000.0, 0.0, 0.68, 7, (60, 42, 0)),
+    ('bayes', 1000.0, 0.0, 0.68, 20260823, (60, 37, 0)),
+    ('bayes', 1000.0, 0.0, 0.95, 2, (60, 58, 0)),
+    ('bayes', 1000.0, 0.0, 0.95, 7, (60, 58, 0)),
+    ('bayes', 1000.0, 0.0, 0.95, 20260823, (60, 60, 0)),
+    ('bayes', 1000.0, 2.0, 0.68, 2, (60, 59, 0)),
+    ('bayes', 1000.0, 2.0, 0.68, 7, (60, 60, 0)),
+    ('bayes', 1000.0, 2.0, 0.68, 20260823, (60, 60, 0)),
+    ('bayes', 1000.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('bayes', 1000.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('bayes', 1000.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+    ('chi2', 50.0, 0.0, 0.68, 2, (31, 31, 29)),
+    ('chi2', 50.0, 0.0, 0.68, 7, (32, 32, 28)),
+    ('chi2', 50.0, 0.0, 0.68, 20260823, (36, 36, 24)),
+    ('chi2', 50.0, 0.0, 0.95, 2, (31, 31, 29)),
+    ('chi2', 50.0, 0.0, 0.95, 7, (32, 32, 28)),
+    ('chi2', 50.0, 0.0, 0.95, 20260823, (36, 36, 24)),
+    ('chi2', 50.0, 2.0, 0.68, 2, (60, 60, 0)),
+    ('chi2', 50.0, 2.0, 0.68, 7, (60, 60, 0)),
+    ('chi2', 50.0, 2.0, 0.68, 20260823, (60, 60, 0)),
+    ('chi2', 50.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('chi2', 50.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('chi2', 50.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+    ('chi2', 115.0, 0.0, 0.68, 2, (60, 60, 0)),
+    ('chi2', 115.0, 0.0, 0.68, 7, (60, 60, 0)),
+    ('chi2', 115.0, 0.0, 0.68, 20260823, (60, 60, 0)),
+    ('chi2', 115.0, 0.0, 0.95, 2, (60, 60, 0)),
+    ('chi2', 115.0, 0.0, 0.95, 7, (60, 60, 0)),
+    ('chi2', 115.0, 0.0, 0.95, 20260823, (60, 60, 0)),
+    ('chi2', 115.0, 2.0, 0.68, 2, (60, 60, 0)),
+    ('chi2', 115.0, 2.0, 0.68, 7, (60, 60, 0)),
+    ('chi2', 115.0, 2.0, 0.68, 20260823, (60, 60, 0)),
+    ('chi2', 115.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('chi2', 115.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('chi2', 115.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+    ('chi2', 300.0, 0.0, 0.68, 2, (60, 18, 0)),
+    ('chi2', 300.0, 0.0, 0.68, 7, (60, 24, 0)),
+    ('chi2', 300.0, 0.0, 0.68, 20260823, (60, 22, 0)),
+    ('chi2', 300.0, 0.0, 0.95, 2, (60, 47, 0)),
+    ('chi2', 300.0, 0.0, 0.95, 7, (60, 44, 0)),
+    ('chi2', 300.0, 0.0, 0.95, 20260823, (60, 46, 0)),
+    ('chi2', 300.0, 2.0, 0.68, 2, (60, 59, 0)),
+    ('chi2', 300.0, 2.0, 0.68, 7, (60, 59, 0)),
+    ('chi2', 300.0, 2.0, 0.68, 20260823, (60, 60, 0)),
+    ('chi2', 300.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('chi2', 300.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('chi2', 300.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+    ('chi2', 1000.0, 0.0, 0.68, 2, (60, 15, 0)),
+    ('chi2', 1000.0, 0.0, 0.68, 7, (60, 25, 0)),
+    ('chi2', 1000.0, 0.0, 0.68, 20260823, (60, 16, 0)),
+    ('chi2', 1000.0, 0.0, 0.95, 2, (60, 41, 0)),
+    ('chi2', 1000.0, 0.0, 0.95, 7, (60, 46, 0)),
+    ('chi2', 1000.0, 0.0, 0.95, 20260823, (60, 38, 0)),
+    ('chi2', 1000.0, 2.0, 0.68, 2, (60, 56, 0)),
+    ('chi2', 1000.0, 2.0, 0.68, 7, (60, 54, 0)),
+    ('chi2', 1000.0, 2.0, 0.68, 20260823, (60, 58, 0)),
+    ('chi2', 1000.0, 2.0, 0.95, 2, (60, 60, 0)),
+    ('chi2', 1000.0, 2.0, 0.95, 7, (60, 60, 0)),
+    ('chi2', 1000.0, 2.0, 0.95, 20260823, (60, 60, 0)),
+]
+
+
+class TestGoldenCoverage:
+    @pytest.mark.parametrize("method,alpha,background,confidence,seed,expected",
+                             GOLDEN_COVERAGE)
+    def test_pinned_counts(self, method, alpha, background, confidence, seed, expected):
+        cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
+                          seed=seed, **WINDOW)
+        report = run_coverage(cfg, GOLDEN_TRIALS, method, confidence)
+        assert (report.trials, report.covered, report.skipped) == expected
+
+
 class TestCoverageReport:
     def test_fraction_identity(self):
         report = CoverageReport(trials=200, covered=150, method="bayes",
