@@ -266,8 +266,23 @@ class Rng:
         return result
 
     def uniform(self):
-        """Uniform double in [0, 1): top 53 bits scaled by 2^-53."""
-        return (self.next_u64() >> 11) * _INV_2POW53
+        """Uniform double in [0, 1): top 53 bits scaled by 2^-53.
+
+        next_u64() with the step and both rotations written out in place;
+        the hottest call of the sampler, so it makes no further calls.
+        """
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        r = (s1 * 5) & _MASK64
+        result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return (result >> 11) * _INV_2POW53
 
     def poisson(self, mean):
         """Poisson sample; inversion below mean 30, PTRS rejection above.

@@ -50,21 +50,27 @@ def fit_alpha(spectrum: BinnedSpectrum) -> FitResult:
     zero-count bin (infinite weight) is a precondition breach.
     """
     bins = spectrum.bins
-    if len(bins) < 2:
-        raise InsufficientDataError(
-            f"chi-square fit needs at least 2 bins, got {len(bins)}")
-    for b in bins:
-        if b.counts == 0:
-            raise ValidationError(
-                f"zero-count bin at {b.center} keV; apply a min-counts selection first")
+    return fit_counts([b.center for b in bins], [b.counts for b in bins])
 
-    sum_inv_e = math.fsum(1.0 / b.center for b in bins)
-    sum_w = math.fsum(1.0 / (b.counts * b.center * b.center) for b in bins)
+
+def fit_counts(centers, counts) -> FitResult:
+    """fit_alpha on parallel lists of bin centers (keV) and integer counts."""
+    if len(centers) < 2:
+        raise InsufficientDataError(
+            f"chi-square fit needs at least 2 bins, got {len(centers)}")
+    if 0 in counts:
+        raise ValidationError(
+            f"zero-count bin at {centers[counts.index(0)]} keV; "
+            "apply a min-counts selection first")
+
+    pairs = list(zip(centers, counts))
+    sum_inv_e = math.fsum(1.0 / e for e in centers)
+    sum_w = math.fsum(1.0 / (y * e * e) for e, y in pairs)
     alpha_hat = sum_inv_e / sum_w
     sigma_alpha = sum_w ** -0.5
-    chi2 = math.fsum((b.counts - alpha_hat / b.center) ** 2 / b.counts for b in bins)
+    chi2 = math.fsum((y - alpha_hat / e) ** 2 / y for e, y in pairs)
     return FitResult(alpha_hat=alpha_hat, sigma_alpha=sigma_alpha, chi2=chi2,
-                     n_bins=len(bins))
+                     n_bins=len(centers))
 
 
 def normal_quantile(p: float) -> float:

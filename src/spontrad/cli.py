@@ -9,6 +9,7 @@ non-convergence); argparse keeps its usual usage-error behavior.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -42,6 +43,8 @@ def _parse_bins(spec: str) -> list:
         lo, hi, width = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--bins values must be numbers, got {spec!r}") from None
+    if not all(map(math.isfinite, (lo, hi, width))):
+        raise ValidationError(f"--bins values must be finite, got {spec!r}")
     if not width > 0:
         raise ValidationError(f"--bins width must be positive, got {width}")
     if not lo <= hi:
@@ -86,7 +89,12 @@ def _emit_text(args, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit_text(args, json.dumps(payload, indent=2) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise NumericalError(f"result out of the float range: {', '.join(bad)}") from None
+    _emit_text(args, text + "\n")
 
 
 def _fit_payload(args):
@@ -224,6 +232,7 @@ def cmd_coverage(args) -> int:
         "method": report.method,
         "confidence": report.confidence,
         "seed": args.seed,
+        "skipped": report.skipped,
     })
     return 0
 
@@ -334,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return args.handler(args)
     except ValidationError as exc:
         _print_error("validation", exc)
@@ -344,6 +354,14 @@ def main(argv=None) -> int:
     except OSError as exc:
         _print_error("io", exc)
         return 3
+
+
+def _check_finite(args) -> None:
+    """Reject inf and nan in any float flag before a command runs."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be a finite number, got {value}")
 
 
 def _print_error(kind: str, exc: Exception) -> None:

@@ -63,8 +63,9 @@ class ExclusionCurve:
         if not points:
             raise ValidationError("exclusion curve needs at least one point")
         for i, (r, lam) in enumerate(points):
-            if not (r > 0 and lam > 0):
-                raise ValidationError(f"curve point {i} not positive: ({r}, {lam})")
+            if not (0 < r < math.inf and 0 < lam < math.inf):
+                raise ValidationError(
+                    f"curve point {i} not positive and finite: ({r}, {lam})")
             if i and not r > points[i - 1][0]:
                 raise ValidationError(
                     f"curve points not ascending in r_c at index {i}: {r}")
@@ -72,8 +73,8 @@ class ExclusionCurve:
 
 def log_grid(lo: float, hi: float, n: int) -> list:
     """n log-spaced values from lo to hi inclusive, endpoints exact."""
-    if not (lo > 0 and hi > 0):
-        raise ValidationError(f"grid bounds must be positive, got [{lo}, {hi}]")
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValidationError(f"grid bounds must be positive and finite, got [{lo}, {hi}]")
     if n < 1:
         raise ValidationError(f"grid needs at least one point, got n={n}")
     if n == 1:
@@ -106,7 +107,12 @@ def scan(lambda_ref: float, r_ref: float, grid, coupling: CouplingMode,
             raise ValidationError(f"grid point {i} not positive: {r}")
         if i and not r > grid[i - 1]:
             raise ValidationError(f"grid not strictly ascending at index {i}: {r}")
-    points = tuple((r, lambda_ref * (r / r_ref) ** 2) for r in grid)
+    try:
+        points = tuple((r, lambda_ref * (r / r_ref) ** 2) for r in grid)
+    except OverflowError:
+        raise ValidationError(
+            f"grid [{grid[0]}, {grid[-1]}] m transports the limit beyond the float range"
+        ) from None
     return ExclusionCurve(coupling=coupling, points=points, method=method,
                           confidence=confidence)
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from .backend import kernels
 from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
-from .chi2fit import alpha_upper_limit, fit_alpha
-from .errors import InsufficientDataError, SelectionEmptyError, ValidationError
+from .chi2fit import alpha_upper_limit, fit_alpha, fit_counts
+from .errors import InsufficientDataError, ValidationError
 from .scan import METHODS
 from .spectrum import BinnedSpectrum, EnergyBin, RangeSelection, select, total_counts
 
@@ -48,6 +48,12 @@ class SynthConfig:
         grid = [self.e_min + i * self.bin_width for i in range(n)]
         return [c for c in grid if c <= self.e_max + 1e-9 * self.bin_width]
 
+    def bin_means(self) -> list:
+        """Poisson mean of each bin: alpha_true * width / E_i + background."""
+        width = self.bin_width
+        return [self.alpha_true * (width / 1.0) / center + self.flat_background_per_bin
+                for center in self.centers()]
+
 
 @dataclass(frozen=True)
 class CoverageReport:
@@ -82,17 +88,42 @@ class CoverageReport:
         return self.covered / self.trials
 
 
+def _checked_bins(config: SynthConfig) -> tuple:
+    """Zero-count bins on the config's grid, validated as one spectrum.
+
+    Every trial shares this grid, so checking it once raises exactly the
+    ValidationError that the first trial's bins would.
+    """
+    width = config.bin_width
+    return BinnedSpectrum(bins=tuple(EnergyBin(center=c, width=width, counts=0)
+                                     for c in config.centers())).bins
+
+
+def draw_counts(config: SynthConfig, means, trial_index: int = 0) -> list:
+    """One trial's bin counts as plain ints, from the trial's own stream.
+
+    means is config.bin_means(), passed in so a study computes it once.
+    """
+    poisson = kernels.Rng(kernels.mix_seed(config.seed, trial_index)).poisson
+    return [poisson(mean) for mean in means]
+
+
 def sample_spectrum(config: SynthConfig, trial_index: int = 0) -> BinnedSpectrum:
     """Draw one spectrum; identical (config, trial_index) gives identical bins."""
-    rng = kernels.Rng(kernels.mix_seed(config.seed, trial_index))
+    centers = config.centers()
+    counts = draw_counts(config, config.bin_means(), trial_index)
     width = config.bin_width
-    bins = []
-    for center in config.centers():
-        mean = (config.alpha_true * (width / 1.0) / center
-                + config.flat_background_per_bin)
-        bins.append(EnergyBin(center=center, width=width, counts=rng.poisson(mean)))
-    return BinnedSpectrum(bins=tuple(bins),
-                          source_label=f"synth(seed={config.seed},trial={trial_index})")
+    return BinnedSpectrum(
+        bins=tuple(EnergyBin(center=c, width=width, counts=n)
+                   for c, n in zip(centers, counts)),
+        source_label=f"synth(seed={config.seed},trial={trial_index})")
+
+
+def _bayes_limit(y_total: int, harmonic: float, confidence: float) -> float:
+    # Amplitude-space posterior: expected total = alpha * harmonic_sum,
+    # so reuse the rate machinery with a unit conversion factor.
+    spec = PosteriorSpec(y_total=y_total, harmonic_sum=harmonic, conversion=1.0)
+    return lambda_credible_limit(spec, confidence).lambda_upper
 
 
 def alpha_limit_for_trial(spectrum: BinnedSpectrum, config: SynthConfig,
@@ -110,37 +141,52 @@ def alpha_limit_for_trial(spectrum: BinnedSpectrum, config: SynthConfig,
         fit = fit_alpha(select(spectrum, sel))
         return alpha_upper_limit(fit, confidence)
     if method == "bayes":
-        # Amplitude-space posterior: expected total = alpha * harmonic_sum,
-        # so reuse the rate machinery with a unit conversion factor.
-        spec = PosteriorSpec(y_total=total_counts(spectrum),
-                             harmonic_sum=harmonic_sum(spectrum.bins),
-                             conversion=1.0)
-        return lambda_credible_limit(spec, confidence).lambda_upper
+        return _bayes_limit(total_counts(spectrum), harmonic_sum(spectrum.bins),
+                            confidence)
     raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def run_coverage(config: SynthConfig, trials: int, method: str,
                  confidence: float) -> CoverageReport:
-    """Fraction of per-trial upper limits that lie at or above alpha_true."""
+    """Fraction of per-trial upper limits that lie at or above alpha_true.
+
+    Each trial gives the limit alpha_limit_for_trial gives on
+    sample_spectrum(config, i), computed on plain count lists.  A bayes
+    limit depends on the trial only through its total count, so it is
+    computed once per distinct total.
+    """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 < confidence < 1.0:
         raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
+    bins = _checked_bins(config)
+    centers = [b.center for b in bins]
+    means = config.bin_means()
+    harmonic = harmonic_sum(bins)
+    # Centers ascend from e_min, so the chi2 window is a prefix of the grid.
+    window = centers[:sum(c <= config.e_max for c in centers)]
+    limits = {}
     covered = 0
-    completed = 0
     skipped = 0
     for i in range(trials):
-        spectrum = sample_spectrum(config, trial_index=i)
-        try:
-            limit = alpha_limit_for_trial(spectrum, config, method, confidence)
-        except (SelectionEmptyError, InsufficientDataError):
-            skipped += 1
-            continue
-        completed += 1
+        counts = draw_counts(config, means, i)
+        if method == "bayes":
+            y_total = sum(counts)
+            limit = limits.get(y_total)
+            if limit is None:
+                limit = limits[y_total] = _bayes_limit(y_total, harmonic, confidence)
+        else:
+            kept = [(c, n) for c, n in zip(window, counts) if n >= CHI2_MIN_COUNTS]
+            if len(kept) < 2:
+                skipped += 1
+                continue
+            fit = fit_counts([c for c, _ in kept], [n for _, n in kept])
+            limit = alpha_upper_limit(fit, confidence)
         if limit >= config.alpha_true:
             covered += 1
+    completed = trials - skipped
     if completed == 0:
         raise InsufficientDataError(
             f"all {trials} trials were skipped; nothing to report")

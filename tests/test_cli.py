@@ -176,6 +176,30 @@ class TestExitCodes:
         jsonschema.validate(r.error, schemas["error"])
         assert r.error["error"]["type"] == "numerical"
 
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--method", "chi2", "--alpha-upper", "inf"),
+        ("limit", "--method", "bayes", "--y-total", 130, "--bins", "15:48:1",
+         "--r-c", "nan"),
+        ("limit", "--method", "bayes", "--y-total", 130, "--bins", "15:inf:1"),
+        ("coverage", "--alpha", "inf", "--trials", 3),
+        ("fit", "--input", "absent.csv", "--emin=-inf"),
+    ])
+    def test_non_finite_inputs_exit_2(self, run_cli, schemas, argv):
+        r = run_cli(*argv)
+        assert r.code == 2
+        assert r.out == ""
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"]["type"] == "validation"
+
+    def test_non_finite_result_is_a_json_error(self, run_cli, schemas):
+        # Finite inputs whose rate overflows: no Infinity reaches stdout.
+        r = run_cli("limit", "--method", "chi2", "--alpha-upper", 1e308,
+                    "--r-c", 1e100)
+        assert r.code == 4
+        assert r.out == ""
+        jsonschema.validate(r.error, schemas["error"])
+        assert "lambda_upper_s_inv" in r.error["error"]["message"]
+
     def test_usage_errors_keep_argparse_behavior(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli("limit", "--method", "wat")
@@ -266,6 +290,16 @@ class TestScan:
                     "--grid", "1e-3:1e-9:10", "--out", tmp_path / "x.csv")
         assert r.code == 2
 
+    @pytest.mark.parametrize("grid", ["1e-300:1e300:5", "1e-9:inf:2"])
+    def test_grid_beyond_float_range_exits_2(self, run_cli, tmp_path, schemas, grid):
+        out = tmp_path / "x.csv"
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 143,
+                    "--grid", grid, "--out", out)
+        assert r.code == 2
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"]["type"] == "validation"
+        assert not out.exists()
+
 
 class TestCoverage:
     def test_report_schema_and_determinism(self, run_cli, schemas):
@@ -283,3 +317,13 @@ class TestCoverage:
         r = run_cli("coverage", "--alpha", 115, "--seed", 3, "--trials", 10,
                     "--method", "chi2").json
         assert r["method"] == "chi2"
+
+    def test_skipped_trials_reported(self, run_cli, schemas):
+        # Low amplitude: the count cut starves the chi2 fit in 29 of 60 trials.
+        r = run_cli("coverage", "--alpha", 50, "--seed", 2, "--trials", 60,
+                    "--method", "chi2")
+        assert r.code == 0
+        jsonschema.validate(r.json, schemas["coverage_report"])
+        assert (r.json["trials"], r.json["skipped"]) == (31, 29)
+        bayes = run_cli("coverage", "--alpha", 50, "--seed", 2, "--trials", 60).json
+        assert (bayes["trials"], bayes["skipped"]) == (60, 0)

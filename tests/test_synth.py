@@ -6,7 +6,7 @@ import pytest
 
 from spontrad.errors import InsufficientDataError, ValidationError
 from spontrad.synth import (CoverageReport, SynthConfig, alpha_limit_for_trial,
-                            run_coverage, sample_spectrum)
+                            draw_counts, run_coverage, sample_spectrum)
 from spontrad.spectrum import total_counts
 
 WINDOW = dict(e_min=15.0, e_max=48.0, bin_width=1.0)
@@ -267,6 +267,27 @@ class TestGoldenCoverage:
                           seed=seed, **WINDOW)
         report = run_coverage(cfg, GOLDEN_TRIALS, method, confidence)
         assert (report.trials, report.covered, report.skipped) == expected
+
+    @pytest.mark.parametrize("alpha,background", [(115.0, 0.0), (1000.0, 2.0)])
+    def test_count_draws_match_sampled_spectra(self, alpha, background):
+        # alpha 1000 puts the low-energy bins on the PTRS sampler.
+        cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
+                          seed=20260823, **WINDOW)
+        means = cfg.bin_means()
+        for i in range(50):
+            counts = draw_counts(cfg, means, i)
+            assert all(type(n) is int for n in counts)
+            assert counts == [b.counts for b in sample_spectrum(cfg, i).bins]
+
+    def test_invalid_grid_raises_the_bin_error(self):
+        # The grid is checked once per study; the error is the first bin's.
+        cfg = SynthConfig(alpha_true=115.0, e_min=0.25, e_max=10.0, bin_width=1.0)
+        with pytest.raises(ValidationError, match="non-positive energy") as sampled:
+            sample_spectrum(cfg)
+        for method in ("bayes", "chi2"):
+            with pytest.raises(ValidationError) as studied:
+                run_coverage(cfg, 10, method, 0.95)
+            assert str(studied.value) == str(sampled.value)
 
 
 class TestCoverageReport:
