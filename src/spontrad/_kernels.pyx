@@ -360,3 +360,16 @@ cdef class Rng:
                     <= k * loglam - mean - _log_gamma_c(k + 1.0)):
                 return <long>k
         raise ValueError(f"poisson rejection sampler failed to accept (mean={mean})")
+
+    def poisson_counts(self, plan):
+        """[self.poisson(m) for m in means] for plan = poisson_plan(means)."""
+        return [self.poisson(mean) for mean in plan]
+
+
+def poisson_plan(means):
+    """The validated means: the compiled sampler keeps no per-grid state."""
+    plan = tuple(means)
+    for mean in plan:
+        if not mean >= 0.0 or not isfinite(mean):
+            raise ValueError(f"poisson mean must be finite and >= 0, got {mean}")
+    return plan

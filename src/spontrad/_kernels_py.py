@@ -16,9 +16,12 @@ Contents:
   * Rng                -- xoshiro256** stream seeded through splitmix64, with
                           single-uniform inversion Poisson sampling for mean
                           < 30 and PTRS transformed rejection above
+  * poisson_plan       -- per-grid sampler state for Rng.poisson_counts, which
+                          draws a grid whose means are reused across streams
 """
 
 import math
+from bisect import bisect_right
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -297,7 +300,7 @@ class Rng:
             return 0
         if mean < 30.0:
             return self._poisson_inversion(mean)
-        return self._poisson_ptrs(mean)
+        return self._poisson_ptrs(*_ptrs_constants(mean))
 
     def _poisson_inversion(self, mean):
         u = self.uniform()
@@ -312,14 +315,8 @@ class Rng:
                 break
         return k
 
-    def _poisson_ptrs(self, mean):
+    def _poisson_ptrs(self, mean, loglam, a, b, vr, log_invalpha):
         # Hormann's transformed rejection with squeeze (PTRS).
-        slam = math.sqrt(mean)
-        loglam = math.log(mean)
-        b = 0.931 + 2.53 * slam
-        a = -0.059 + 0.02483 * b
-        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-        vr = 0.9277 - 3.6224 / (b - 2.0)
         for _ in range(10000):
             u = self.uniform() - 0.5
             v = self.uniform()
@@ -329,7 +326,127 @@ class Rng:
                 return int(k)
             if k < 0 or (us < 0.013 and v > us):
                 continue
-            if (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
+            if (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
                     <= k * loglam - mean - log_gamma(k + 1.0)):
                 return int(k)
         raise ValueError(f"poisson rejection sampler failed to accept (mean={mean})")
+
+    def poisson_counts(self, plan):
+        """[self.poisson(m) for m in means] for plan = poisson_plan(means).
+
+        Draws the same uniforms in the same order and leaves the generator
+        in the same state.  The xoshiro256** step is written out as in
+        uniform(), with the state in locals for the whole grid.
+        """
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        counts = []
+        for cdf, tail in plan:
+            if cdf is None:
+                # A zero mean, or PTRS with the constants in tail.
+                if tail is None:
+                    counts.append(0)
+                    continue
+                mean, loglam, a, b, vr, log_invalpha = tail
+                for _ in range(10000):
+                    r = (s1 * 5) & _MASK64
+                    result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+                    t = (s1 << 17) & _MASK64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                    u = (result >> 11) * _INV_2POW53 - 0.5
+                    r = (s1 * 5) & _MASK64
+                    result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+                    t = (s1 << 17) & _MASK64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                    v = (result >> 11) * _INV_2POW53
+                    us = 0.5 - abs(u)
+                    k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+                    if us >= 0.07 and v <= vr:
+                        break
+                    if k < 0 or (us < 0.013 and v > us):
+                        continue
+                    if (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
+                            <= k * loglam - mean - log_gamma(k + 1.0)):
+                        break
+                else:
+                    raise ValueError(
+                        f"poisson rejection sampler failed to accept (mean={mean})")
+                counts.append(int(k))
+                continue
+            r = (s1 * 5) & _MASK64
+            result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            k = bisect_right(cdf, (result >> 11) * _INV_2POW53)
+            counts.append(k if k < len(cdf) else tail)
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return counts
+
+
+def _ptrs_constants(mean):
+    """Arguments of Rng._poisson_ptrs for one mean."""
+    slam = math.sqrt(mean)
+    loglam = math.log(mean)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+    return mean, loglam, a, b, vr, math.log(invalpha)
+
+
+def _inversion_table(mean):
+    """Running sums of Rng._poisson_inversion, and its count past the last.
+
+    The sums are the loop's, in its order.  They stop at 1.0, which no
+    uniform reaches, or where adding the next term no longer changes them.
+    That happens only past the mode (before it each term is over 1/31 of
+    the sum), where the terms only shrink, so the sum stays put and a
+    uniform at or above it walks on until the term underflows: that k is
+    the tail.
+    """
+    prob = math.exp(-mean)
+    cum = prob
+    cdf = [cum]
+    k = 0
+    while True:
+        k += 1
+        prob *= mean / k
+        if prob <= 0.0 or k > 10000:
+            return tuple(cdf), k
+        if cum < 1.0 and cum + prob > cum:
+            cum += prob
+            cdf.append(cum)
+
+
+def poisson_plan(means):
+    """Sampler state for Rng.poisson_counts, built once for reused means.
+
+    One entry per mean: (cdf, tail) from _inversion_table below 30,
+    (None, PTRS constants) from 30 up, (None, None) for a zero mean, which
+    draws no uniform.  Invalid means raise as Rng.poisson does.
+    """
+    plan = []
+    for mean in means:
+        if not mean >= 0.0 or not math.isfinite(mean):
+            raise ValueError(f"poisson mean must be finite and >= 0, got {mean}")
+        if mean == 0.0:
+            plan.append((None, None))
+        elif mean < 30.0:
+            plan.append(_inversion_table(mean))
+        else:
+            plan.append((None, _ptrs_constants(mean)))
+    return tuple(plan)

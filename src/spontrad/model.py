@@ -6,6 +6,7 @@ the fit amplitude alpha = c * lambda * D, the expected counts in a 1 keV bin
 at energy E being alpha / E.
 """
 
+import math
 from dataclasses import dataclass
 
 from .constants import (CODATA2018, CouplingMode, PhysicalConstants,
@@ -56,7 +57,10 @@ def lambda_from_alpha(alpha: float, r_c: float, coupling: CouplingMode,
     if not c_exp > 0:
         raise ValidationError(f"exposure factor must be positive, got {c_exp}")
     mass = coupling_mass_energy(coupling, constants)
-    return alpha / (c_exp * dimensionless_coupling(mass, r_c, constants))
+    conversion = c_exp * dimensionless_coupling(mass, r_c, constants)
+    if not (conversion > 0 and math.isfinite(conversion)):
+        raise ValidationError(f"conversion must be positive and finite, got {conversion}")
+    return alpha / conversion
 
 
 def expected_counts(params: CslParams, c_exp: float, bins,

@@ -17,6 +17,8 @@ from .scan import METHODS
 from .spectrum import BinnedSpectrum, EnergyBin, RangeSelection, select, total_counts
 
 CHI2_MIN_COUNTS = 5
+# Largest bin mean sampled: up to 2**52 every count is exact as a float.
+MAX_BIN_MEAN = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,26 @@ def _checked_bins(config: SynthConfig) -> tuple:
                                      for c in config.centers())).bins
 
 
+def _checked_means(config: SynthConfig) -> list:
+    """The grid's Poisson means, checked before any count is drawn.
+
+    Centers ascend from e_min, so the first bin is the one a non-positive
+    energy fails; building it raises that bin's error and keeps bin_means
+    off a zero center.  A mean above MAX_BIN_MEAN is rejected.
+    """
+    EnergyBin(center=config.e_min, width=config.bin_width, counts=0)
+    means = config.bin_means()
+    if max(means) > MAX_BIN_MEAN:
+        raise ValidationError(
+            f"bin mean {max(means):.6g} exceeds 2**52; counts would not be exact")
+    return means
+
+
 def draw_counts(config: SynthConfig, means, trial_index: int = 0) -> list:
     """One trial's bin counts as plain ints, from the trial's own stream.
 
-    means is config.bin_means(), passed in so a study computes it once.
+    means is config.bin_means().  Each mean is drawn once, so this uses the
+    loop sampler; run_coverage draws the same counts from a Poisson plan.
     """
     poisson = kernels.Rng(kernels.mix_seed(config.seed, trial_index)).poisson
     return [poisson(mean) for mean in means]
@@ -111,7 +129,7 @@ def draw_counts(config: SynthConfig, means, trial_index: int = 0) -> list:
 def sample_spectrum(config: SynthConfig, trial_index: int = 0) -> BinnedSpectrum:
     """Draw one spectrum; identical (config, trial_index) gives identical bins."""
     centers = config.centers()
-    counts = draw_counts(config, config.bin_means(), trial_index)
+    counts = draw_counts(config, _checked_means(config), trial_index)
     width = config.bin_width
     return BinnedSpectrum(
         bins=tuple(EnergyBin(center=c, width=width, counts=n)
@@ -162,8 +180,10 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     if not 0.0 < confidence < 1.0:
         raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
     bins = _checked_bins(config)
+    means = _checked_means(config)
     centers = [b.center for b in bins]
-    means = config.bin_means()
+    # The means are the same for every trial, so the sampler state is too.
+    plan = kernels.poisson_plan(means)
     harmonic = harmonic_sum(bins)
     # Centers ascend from e_min, so the chi2 window is a prefix of the grid.
     window = centers[:sum(c <= config.e_max for c in centers)]
@@ -171,7 +191,7 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     covered = 0
     skipped = 0
     for i in range(trials):
-        counts = draw_counts(config, means, i)
+        counts = kernels.Rng(kernels.mix_seed(config.seed, i)).poisson_counts(plan)
         if method == "bayes":
             y_total = sum(counts)
             limit = limits.get(y_total)

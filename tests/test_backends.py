@@ -5,11 +5,12 @@ every check runs against both (the compiled half is skipped only where the
 extension genuinely is not built).
 """
 
+import bisect
 import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -204,6 +205,74 @@ class TestPoisson:
                 assert all(a <= b for a, b in zip(weaker, stronger))
 
 
+# Means on each side of every sampler switch: zero (no uniform drawn), a
+# mean whose exp(-mean) rounds to 1, inversion, its edge, and PTRS.
+_PLAN_MEANS = st.lists(st.one_of(
+    st.sampled_from([0.0, 1e-300, 29.999999999999996, 30.0]),
+    st.floats(min_value=0.0, max_value=30.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=30.0, max_value=200.0, exclude_min=True)), max_size=40)
+
+
+class _FixedUniform(_kernels_py.Rng):
+    """A generator whose every uniform is u, to drive the loop sampler."""
+
+    __slots__ = ("u",)
+
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+class TestPoissonPlan:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(means=_PLAN_MEANS, seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
+    def test_counts_and_state_match_the_loop(self, kern, means, seed):
+        planned, looped = kern.Rng(seed), kern.Rng(seed)
+        assert planned.poisson_counts(kern.poisson_plan(means)) == [
+            looped.poisson(m) for m in means]
+        assert planned.next_u64() == looped.next_u64()
+
+    def test_long_stream_matches_the_loop(self, kern):
+        # The rare PTRS branches (the squeeze edges, the k < 0 cut) need
+        # many draws to be reached at all.
+        means = [0.1, 7.67, 29.9, 30.0, 47.3, 115.0, 2000.0, 1e6]
+        plan = kern.poisson_plan(means)
+        planned, looped = kern.Rng(2024), kern.Rng(2024)
+        for _ in range(5000):
+            assert planned.poisson_counts(plan) == [looped.poisson(m) for m in means]
+
+    @pytest.mark.parametrize("mean", [1e-300, 0.1, 0.5, 3.0, 7.67, 18.12, 29.9])
+    def test_table_lookup_equals_the_loop_at_every_edge(self, mean):
+        cdf, tail = _kernels_py._inversion_table(mean)
+        edges = [0.0, 1.0 - 2.0 ** -53]
+        for c in cdf:
+            edges += [c, math.nextafter(c, 0.0)]
+        for u in edges:
+            if u < 1.0:
+                k = bisect.bisect_right(cdf, u)
+                assert (k if k < len(cdf) else tail) == (
+                    _FixedUniform(u)._poisson_inversion(mean)), u
+
+    @pytest.mark.parametrize("mean", [0.1, 18.12])
+    def test_tail_is_the_loop_answer_for_saturating_means(self, mean):
+        # The running sum stops below the largest uniform, so the loop walks
+        # on to the underflow of its term; the table's tail must say where.
+        top = 1.0 - 2.0 ** -53
+        cdf, tail = _kernels_py._inversion_table(mean)
+        assert cdf[-1] <= top
+        assert tail == _FixedUniform(top)._poisson_inversion(mean)
+        assert tail > len(cdf)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_invalid_mean(self, kern, bad):
+        with pytest.raises(ValueError, match="poisson mean"):
+            kern.poisson_plan([3.0, bad])
+
+
 class TestSpecialFunctionOracles:
     @settings(max_examples=200, deadline=None)
     @given(x=st.floats(min_value=1e-3, max_value=170.0, allow_nan=False))
@@ -293,6 +362,15 @@ class TestBitParity:
         a, b = _kernels.Rng(99), _kernels_py.Rng(99)
         assert [a.poisson(mean) for _ in range(3000)] == [
             b.poisson(mean) for _ in range(3000)]
+
+    def test_poisson_counts_streams(self):
+        means = [0.0, 1e-300, 0.2, 7.67, 18.12, 29.99, 30.0, 115.0, 2000.0]
+        plans = _kernels.poisson_plan(means), _kernels_py.poisson_plan(means)
+        for seed in (0, 99, 2 ** 64 - 1):
+            a, b = _kernels.Rng(seed), _kernels_py.Rng(seed)
+            for _ in range(300):
+                assert a.poisson_counts(plans[0]) == b.poisson_counts(plans[1])
+            assert a.next_u64() == b.next_u64()
 
     def test_mix_seed(self):
         for seed in (-5, 0, 42, 2 ** 70):

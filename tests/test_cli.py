@@ -200,6 +200,36 @@ class TestExitCodes:
         jsonschema.validate(r.error, schemas["error"])
         assert "lambda_upper_s_inv" in r.error["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [
+        # The means overflow the float range, or pass 2**52 where counts
+        # stop being exact floats.
+        ("coverage", "--alpha", 1e308, "--emin", 1, "--emax", 5,
+         "--bin-width", 1.5, "--trials", 3),
+        ("synth", "--alpha", 1e300),
+        # A bin centered at zero energy.
+        ("synth", "--alpha", 10, "--emin", 0, "--emax", 5),
+        ("coverage", "--alpha", 10, "--emin", 0, "--emax", 5, "--trials", 3),
+    ])
+    def test_synthetic_grid_out_of_range_exits_2(self, run_cli, schemas, argv):
+        r = run_cli(*argv)
+        assert r.code == 2
+        assert r.out == ""
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"]["type"] == "validation"
+
+    @pytest.mark.parametrize("route", [
+        ("--method", "chi2", "--alpha-upper", 100),
+        ("--method", "bayes", "--y-total", 130, "--bins", "15:48:1"),
+    ])
+    @pytest.mark.parametrize("r_c", [1e300, 1e-300])
+    def test_conversion_out_of_float_range_exits_2(self, run_cli, schemas, route, r_c):
+        # The coupling underflows to 0 at 1e300 m and overflows at 1e-300 m.
+        r = run_cli("limit", *route, "--r-c", r_c)
+        assert r.code == 2
+        assert r.out == ""
+        jsonschema.validate(r.error, schemas["error"])
+        assert "conversion must be positive and finite" in r.error["error"]["message"]
+
     def test_usage_errors_keep_argparse_behavior(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli("limit", "--method", "wat")

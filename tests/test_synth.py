@@ -1,6 +1,7 @@
 """Synthetic spectrum generation and coverage studies."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,16 @@ class TestSampleSpectrum:
         assert all(b.width == 2.0 for b in s.bins)
         # mean per bin = alpha*2/E in [26.7, 40]: far from zero, so counts > 0
         assert all(b.counts > 0 for b in s.bins)
+
+    def test_bin_means_bounded_by_exact_float_counts(self):
+        # One bin at 1 keV, so its mean is alpha itself.
+        top = SynthConfig(alpha_true=2.0 ** 52, e_min=1.0, e_max=1.5, bin_width=1.0)
+        assert sample_spectrum(top).bins[0].counts > 2 ** 51
+        over = replace(top, alpha_true=math.nextafter(2.0 ** 52, math.inf))
+        with pytest.raises(ValidationError, match="2\\*\\*52"):
+            sample_spectrum(over)
+        with pytest.raises(ValidationError, match="2\\*\\*52"):
+            run_coverage(over, 3, "bayes", 0.95)
 
 
 class TestAlphaLimitForTrial:
