@@ -22,8 +22,8 @@ from .model import lambda_from_alpha
 from .scan import (DEFAULT_GRID_MAX_M, DEFAULT_GRID_MIN_M, DEFAULT_GRID_POINTS,
                    builtin_reference_points, load_overlay_boundary, log_grid,
                    save_curves, scan)
-from .spectrum import (EnergyBin, RangeSelection, format_spectrum, load_spectrum,
-                       save_spectrum, select, total_counts)
+from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
+                       load_spectrum, save_spectrum, select, total_counts)
 from .svg import save_exclusion_svg
 from .synth import SynthConfig, run_coverage, sample_spectrum
 
@@ -49,10 +49,7 @@ def _parse_bins(spec: str) -> list:
         raise ValidationError(f"--bins width must be positive, got {width}")
     if not lo <= hi:
         raise ValidationError(f"--bins needs lo <= hi, got {spec!r}")
-    n = int((hi - lo) / width + 0.5) + 1
-    centers = [lo + i * width for i in range(n)]
-    centers = [c for c in centers if c <= hi + 1e-9 * width]
-    return [EnergyBin(center=c, width=width, counts=0) for c in centers]
+    return [EnergyBin(center=c, width=width, counts=0) for c in center_grid(lo, hi, width)]
 
 
 def _parse_grid(spec: str) -> list:
@@ -229,10 +226,12 @@ def cmd_coverage(args) -> int:
         "trials": report.trials,
         "covered": report.covered,
         "coverage_fraction": report.coverage_fraction,
+        "coverage_stderr": report.coverage_stderr,
         "method": report.method,
         "confidence": report.confidence,
         "seed": args.seed,
         "skipped": report.skipped,
+        "requested_trials": report.requested_trials,
     })
     return 0
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .constants import CouplingMode
 from .errors import SpectrumFormatError, ValidationError
+from .spectrum import check_grid_size
 
 METHODS = ("chi2", "bayes")
 
@@ -77,6 +78,7 @@ def log_grid(lo: float, hi: float, n: int) -> list:
         raise ValidationError(f"grid bounds must be positive and finite, got [{lo}, {hi}]")
     if n < 1:
         raise ValidationError(f"grid needs at least one point, got n={n}")
+    check_grid_size(n, "correlation-length grid")
     if n == 1:
         if lo != hi:
             raise ValidationError(f"single-point grid requires lo == hi, got [{lo}, {hi}]")

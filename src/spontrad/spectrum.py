@@ -5,6 +5,7 @@ CSV schema: header ``center_keV,width_keV,counts``, one row per bin,
 Exposure metadata travels outside the CSV (CLI config sidecar keys).
 """
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
@@ -13,6 +14,25 @@ from .errors import (SelectionEmptyError, SpectrumFormatError, ValidationError)
 CSV_HEADER = "center_keV,width_keV,counts"
 
 _OVERLAP_TOL = 1e-9
+# Most points any generated grid (bin centers, correlation lengths) may have;
+# the count is checked before the grid is built.
+MAX_GRID_POINTS = 10 ** 6
+
+
+def check_grid_size(n, what: str) -> None:
+    """Reject a grid of n points (an int, or inf) above MAX_GRID_POINTS."""
+    if not n <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"{what} of {n:.7g} points exceeds the limit of {MAX_GRID_POINTS}")
+
+
+def center_grid(lo: float, hi: float, width: float) -> list:
+    """Bin centers lo, lo + width, ... up to and including hi (lo <= hi, width > 0)."""
+    steps = (hi - lo) / width + 0.5
+    n = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+    check_grid_size(n, "bin grid")
+    grid = [lo + i * width for i in range(n)]
+    return [c for c in grid if c <= hi + 1e-9 * width]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: outputs, schemas, exit codes, artifacts."""
 
 import json
+import math
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import spontrad.cli
 from spontrad.errors import NumericalError
 from spontrad.scan import load_curves
+from spontrad.spectrum import MAX_GRID_POINTS
 
 BAYES_LAMBDA_MP = 7.006202483028229e-12
 CHI2_LAMBDA_MP = 8.097029465934479e-12
@@ -230,6 +233,36 @@ class TestExitCodes:
         jsonschema.validate(r.error, schemas["error"])
         assert "conversion must be positive and finite" in r.error["error"]["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--y-total", 10, "--bins", f"1:{MAX_GRID_POINTS + 1}:1"),
+        ("limit", "--y-total", 10, "--bins", "1:1e300:1e-3"),
+        ("scan", "--method", "chi2", "--alpha-upper", 143,
+         "--grid", f"1e-9:1e-3:{MAX_GRID_POINTS + 1}"),
+        ("scan", "--method", "chi2", "--alpha-upper", 143,
+         "--grid", f"1e-9:1e-3:{10 ** 30}"),
+        ("synth", "--alpha", 10, "--emin", 1, "--emax", MAX_GRID_POINTS + 1),
+        ("coverage", "--alpha", 10, "--emin", 1, "--emax", 1e9,
+         "--bin-width", 1e-3, "--trials", 3),
+    ])
+    def test_grid_above_size_cap_exits_2_unbuilt(self, run_cli, schemas, tmp_path, argv):
+        # One point above the cap, or a count far beyond memory.  The count
+        # is checked first: a 10**6-point list alone takes 8 MB.
+        out = tmp_path / "x.csv"
+        if argv[0] == "scan":
+            argv += ("--out", out)
+        tracemalloc.start()
+        try:
+            r = run_cli(*argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.code == 2
+        assert r.out == ""
+        jsonschema.validate(r.error, schemas["error"])
+        assert f"points exceeds the limit of {MAX_GRID_POINTS}" in r.error["error"]["message"]
+        assert peak < 2 ** 21
+        assert not out.exists()
+
     def test_usage_errors_keep_argparse_behavior(self, run_cli):
         with pytest.raises(SystemExit) as exc:
             run_cli("limit", "--method", "wat")
@@ -357,3 +390,8 @@ class TestCoverage:
         assert (r.json["trials"], r.json["skipped"]) == (31, 29)
         bayes = run_cli("coverage", "--alpha", 50, "--seed", 2, "--trials", 60).json
         assert (bayes["trials"], bayes["skipped"]) == (60, 0)
+        for report in (r.json, bayes):
+            assert report["requested_trials"] == report["trials"] + report["skipped"] == 60
+        # chi2 covered all 31 completed trials; bayes 58 of 60.
+        assert r.json["coverage_stderr"] == 0.0
+        assert bayes["coverage_stderr"] == pytest.approx(math.sqrt(58 / 60 * 2 / 60 / 60))

@@ -1,14 +1,17 @@
 """Synthetic spectrum generation and coverage studies."""
 
 import math
+import os
+import threading
 from dataclasses import replace
 
 import pytest
 
-from spontrad.errors import InsufficientDataError, ValidationError
+from spontrad import synth
+from spontrad.errors import InsufficientDataError, NumericalError, ValidationError
 from spontrad.synth import (CoverageReport, SynthConfig, alpha_limit_for_trial,
                             draw_counts, run_coverage, sample_spectrum)
-from spontrad.spectrum import total_counts
+from spontrad.spectrum import MAX_GRID_POINTS, total_counts
 
 WINDOW = dict(e_min=15.0, e_max=48.0, bin_width=1.0)
 HARMONIC_15_48 = 1.2072348485017923
@@ -21,6 +24,13 @@ class TestSynthConfig:
         assert centers[0] == 15.0
         assert centers[-1] == 48.0
         assert len(centers) == 34
+
+    def test_grid_at_the_size_cap(self):
+        cfg = SynthConfig(alpha_true=1.0, e_min=1.0, e_max=float(MAX_GRID_POINTS),
+                          bin_width=1.0)
+        assert len(cfg.centers()) == MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match="1000001 points exceeds"):
+            replace(cfg, e_max=cfg.e_max + 1.0).centers()
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -299,6 +309,126 @@ class TestGoldenCoverage:
             with pytest.raises(ValidationError) as studied:
                 run_coverage(cfg, 10, method, 0.95)
             assert str(studied.value) == str(sampled.value)
+
+
+@pytest.fixture()
+def split(monkeypatch):
+    """split(n) makes every study fork into n workers; returns the child pids.
+
+    After the test no child of this process may be left, reaped or not.
+    """
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def set_workers(n):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(synth, "MIN_TRIALS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    yield set_workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitTrials:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_golden_studies_identical_for_any_split(self, split, workers):
+        pids = split(workers)
+        for method, alpha, background, confidence, seed, expected in GOLDEN_COVERAGE:
+            cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
+                              seed=seed, **WINDOW)
+            trials, covered, skipped = expected
+            assert run_coverage(cfg, GOLDEN_TRIALS, method, confidence) == CoverageReport(
+                trials=trials, covered=covered, method=method, confidence=confidence,
+                skipped=skipped)
+        assert len(pids) == (workers - 1) * len(GOLDEN_COVERAGE)
+
+    def test_small_study_runs_serially(self, split, monkeypatch):
+        pids = split(4)
+        monkeypatch.setattr(synth, "MIN_TRIALS_PER_WORKER", 30)
+        cfg = SynthConfig(alpha_true=115.0, seed=2, **WINDOW)
+        run_coverage(cfg, 59, "bayes", 0.95)
+        assert pids == []
+        run_coverage(cfg, 60, "bayes", 0.95)
+        assert len(pids) == 1
+
+    def test_threaded_caller_is_not_forked(self, split):
+        pids = split(3)
+        cfg = SynthConfig(alpha_true=115.0, seed=2, **WINDOW)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            report = run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pids == []
+        assert (report.trials, report.covered) == (60, 58)
+
+    def test_failed_fork_runs_the_range_here(self, split, monkeypatch):
+        pids = split(3)
+        fork = os.fork
+
+        def fork_once():
+            if pids:
+                raise BlockingIOError("no more processes")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        cfg = SynthConfig(alpha_true=1000.0, seed=7, **WINDOW)
+        report = run_coverage(cfg, GOLDEN_TRIALS, "chi2", 0.95)
+        assert len(pids) == 1
+        assert (report.trials, report.covered, report.skipped) == (60, 46, 0)
+
+    def test_cli_error_identical_when_split(self, split, run_cli):
+        argv = ("coverage", "--method", "bayes", "--alpha", "1e5", "--trials", 20)
+        split(1)
+        serial = run_cli(*argv)
+        pids = split(3)
+        parallel = run_cli(*argv)
+        assert len(pids) == 2
+        assert serial.code == parallel.code == 4
+        assert "failed to converge" in serial.error["error"]["message"]
+        assert parallel.err == serial.err
+        assert parallel.out == serial.out == ""
+
+    @pytest.mark.parametrize("first_bad", [0, 25, 45])
+    def test_failing_trial_raises_the_serial_error(self, split, monkeypatch, first_bad):
+        # The limit fails for every total first drawn at trial first_bad or
+        # later; which range holds that trial decides who raises it: the
+        # parent (0), the first child (25) or the last child (45).
+        cfg = SynthConfig(alpha_true=115.0, seed=20260823, **WINDOW)
+        means = cfg.bin_means()
+        totals = [sum(draw_counts(cfg, means, i)) for i in range(GOLDEN_TRIALS)]
+        bad = set(totals[first_bad:]) - set(totals[:first_bad])
+        assert bad
+        limit = synth._bayes_limit
+
+        def failing_limit(y_total, harmonic, confidence):
+            if y_total in bad:
+                raise NumericalError(f"no limit for total {y_total}")
+            return limit(y_total, harmonic, confidence)
+
+        monkeypatch.setattr(synth, "_bayes_limit", failing_limit)
+        split(1)
+        with pytest.raises(NumericalError) as serial:
+            run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
+        first = next(t for t in totals[first_bad:] if t in bad)
+        assert str(serial.value) == f"no limit for total {first}"
+        pids = split(3)
+        with pytest.raises(NumericalError) as parallel:
+            run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
+        assert len(pids) == 2
+        assert str(parallel.value) == str(serial.value)
 
 
 class TestCoverageReport:
