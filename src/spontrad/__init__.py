@@ -5,86 +5,70 @@ to a collapse rate at a given correlation length: a Gaussian chi-square fit
 with a one-sided quantile, and a Poisson-count posterior with a gamma-form
 credible bound.  A scan transports either limit across correlation lengths
 into exclusion curves.  See the README for the CLI and file formats.
+
+The names below load their submodule on first use (PEP 562), so a process
+pays only for the modules it touches; ``from spontrad import X`` works as
+for any package.  The backend is chosen eagerly: a bad SPONTRAD_BACKEND
+fails at ``import spontrad``.
 """
 
+import importlib
+import sys
+from types import ModuleType
+
 from .backend import BACKEND, backend_name
-from .bayes import (CredibleLimit, PosteriorSpec, gamma_quantile, harmonic_sum,
-                    lambda_credible_limit, posterior_spec, reg_inc_gamma)
-from .chi2fit import FitResult, alpha_upper_limit, fit_alpha, normal_quantile
-from .config import load_config, parse_config_text
-from .constants import (CODATA2018, CouplingMode, ExposureConfig,
-                        HISTORICAL_LAMBDA_LIMITS, IGEX_EXPOSURE,
-                        PhysicalConstants, coupling_mass_energy,
-                        dimensionless_coupling, exposure_factor)
-from .errors import (InsufficientDataError, NumericalError, SelectionEmptyError,
-                     SpectrumFormatError, SpontradError, ValidationError)
-from .model import (CslParams, alpha_from_lambda, emission_rate_density,
-                    expected_counts, lambda_from_alpha)
-from .scan import (ExclusionCurve, ReferencePoint, builtin_reference_points,
-                   load_curves, load_overlay_boundary, log_grid, save_curves,
-                   scan)
-from .spectrum import (BinnedSpectrum, EnergyBin, RangeSelection, load_spectrum,
-                       save_spectrum, select, total_counts)
-from .svg import render_exclusion_svg, save_exclusion_svg
-from .synth import CoverageReport, SynthConfig, run_coverage, sample_spectrum
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND",
-    "BinnedSpectrum",
-    "CODATA2018",
-    "CouplingMode",
-    "CoverageReport",
-    "CredibleLimit",
-    "CslParams",
-    "EnergyBin",
-    "ExclusionCurve",
-    "ExposureConfig",
-    "FitResult",
-    "HISTORICAL_LAMBDA_LIMITS",
-    "IGEX_EXPOSURE",
-    "InsufficientDataError",
-    "NumericalError",
-    "PhysicalConstants",
-    "PosteriorSpec",
-    "RangeSelection",
-    "ReferencePoint",
-    "SelectionEmptyError",
-    "SpectrumFormatError",
-    "SpontradError",
-    "SynthConfig",
-    "ValidationError",
-    "alpha_from_lambda",
-    "alpha_upper_limit",
-    "backend_name",
-    "builtin_reference_points",
-    "coupling_mass_energy",
-    "dimensionless_coupling",
-    "emission_rate_density",
-    "expected_counts",
-    "exposure_factor",
-    "fit_alpha",
-    "gamma_quantile",
-    "harmonic_sum",
-    "lambda_credible_limit",
-    "lambda_from_alpha",
-    "load_config",
-    "load_curves",
-    "load_overlay_boundary",
-    "load_spectrum",
-    "log_grid",
-    "normal_quantile",
-    "parse_config_text",
-    "posterior_spec",
-    "reg_inc_gamma",
-    "render_exclusion_svg",
-    "run_coverage",
-    "sample_spectrum",
-    "save_curves",
-    "save_exclusion_svg",
-    "save_spectrum",
-    "scan",
-    "select",
-    "total_counts",
-]
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "bayes": ("CredibleLimit", "PosteriorSpec", "gamma_quantile", "harmonic_sum",
+              "lambda_credible_limit", "posterior_spec", "reg_inc_gamma"),
+    "chi2fit": ("FitResult", "alpha_upper_limit", "fit_alpha", "normal_quantile"),
+    "config": ("load_config", "parse_config_text"),
+    "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "HISTORICAL_LAMBDA_LIMITS",
+                  "IGEX_EXPOSURE", "PhysicalConstants", "coupling_mass_energy",
+                  "dimensionless_coupling", "exposure_factor"),
+    "errors": ("InsufficientDataError", "NumericalError", "SelectionEmptyError",
+               "SpectrumFormatError", "SpontradError", "ValidationError"),
+    "model": ("CslParams", "alpha_from_lambda", "emission_rate_density", "expected_counts",
+              "lambda_from_alpha"),
+    "scan": ("ExclusionCurve", "ReferencePoint", "builtin_reference_points", "load_curves",
+             "load_overlay_boundary", "log_grid", "save_curves", "scan"),
+    "spectrum": ("BinnedSpectrum", "EnergyBin", "RangeSelection", "load_spectrum",
+                 "save_spectrum", "select", "total_counts"),
+    "svg": ("render_exclusion_svg", "save_exclusion_svg"),
+    "synth": ("CoverageReport", "SynthConfig", "run_coverage", "sample_spectrum"),
+}
+_SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["BACKEND", "backend_name", *_SOURCES])
+
+
+def __getattr__(name):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups are plain attribute hits
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCES))
+
+
+class _Package(ModuleType):
+    """Keeps the import system from binding a submodule over a public name.
+
+    Loading a submodule sets it as an attribute of its package; without
+    this, importing ``spontrad.scan`` would make ``spontrad.scan`` the
+    module instead of the function ``scan``.
+    """
+
+    def __setattr__(self, name, value):
+        if not (name in _SOURCES and isinstance(value, ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -5,6 +5,9 @@ is involved) and writes either JSON (fit, limit, coverage) or CSV/SVG
 artifacts (scan, synth).  Pipeline failures print a machine-readable error
 object to stderr and exit with 2 (validation), 3 (I/O) or 4 (numerical
 non-convergence); argparse keeps its usual usage-error behavior.
+
+The modules that only one command uses (scan, svg, synth) are imported
+when that command runs, so a fit or limit process never loads them.
 """
 
 import argparse
@@ -13,25 +16,23 @@ import math
 import sys
 from dataclasses import replace
 
-from .bayes import harmonic_sum, lambda_credible_limit, posterior_spec
+from .bayes import lambda_credible_limit, posterior_spec
 from .chi2fit import alpha_upper_limit, fit_alpha
 from .config import constants_from, exposure_from, load_config
-from .constants import CouplingMode, exposure_factor
+from .constants import METHODS, CouplingMode, exposure_factor
 from .errors import NumericalError, ValidationError
 from .model import lambda_from_alpha
-from .scan import (DEFAULT_GRID_MAX_M, DEFAULT_GRID_MIN_M, DEFAULT_GRID_POINTS,
-                   builtin_reference_points, load_overlay_boundary, log_grid,
-                   save_curves, scan)
 from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
-                       load_spectrum, save_spectrum, select, total_counts)
-from .svg import save_exclusion_svg
-from .synth import SynthConfig, run_coverage, sample_spectrum
+                       load_spectrum, save_spectrum, select)
 
 DEFAULT_E_MIN_KEV = 14.5
 DEFAULT_E_MAX_KEV = 48.5
 DEFAULT_MIN_COUNTS = 5
 DEFAULT_R_C_M = 1e-7
 DEFAULT_CONFIDENCE = 0.95
+DEFAULT_GRID_MIN_M = 1e-9
+DEFAULT_GRID_MAX_M = 1e-3
+DEFAULT_GRID_POINTS = 200
 
 
 def _parse_bins(spec: str) -> list:
@@ -54,6 +55,7 @@ def _parse_bins(spec: str) -> list:
 
 def _parse_grid(spec: str) -> list:
     """'lo:hi:n' -> n log-spaced correlation lengths from lo to hi meters."""
+    from .scan import log_grid
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValidationError(f"--grid expects lo:hi:n, got {spec!r}")
@@ -94,12 +96,17 @@ def _emit_json(args, payload: dict) -> None:
     _emit_text(args, text + "\n")
 
 
-def _fit_payload(args):
+def _chi2_fit(args):
+    """Chi-square fit of the selected --input spectrum."""
     spectrum = load_spectrum(args.input)
     sel = RangeSelection(e_min=args.emin, e_max=args.emax,
                          min_counts=args.min_counts
                          if args.min_counts is not None else DEFAULT_MIN_COUNTS)
-    fit = fit_alpha(select(spectrum, sel))
+    return fit_alpha(select(spectrum, sel))
+
+
+def _fit_payload(args):
+    fit = _chi2_fit(args)
     upper = alpha_upper_limit(fit, args.cl)
     return {
         "alpha_hat": fit.alpha_hat,
@@ -127,7 +134,12 @@ def _selected_bins(args):
     return list(select(spectrum, sel).bins)
 
 
-def _limit_payload(args, coupling: CouplingMode, constants, exposure) -> dict:
+def _limit_route(args, constants, exposure):
+    """Check the limit flags and read, select or fit the input once.
+
+    Returns payload(coupling): the limit JSON for one coupling, so a scan
+    converts the same bins or fit for both couplings.
+    """
     if args.method == "bayes":
         if args.alpha_upper is not None:
             raise ValidationError("--alpha-upper applies to --method chi2 only")
@@ -141,18 +153,21 @@ def _limit_payload(args, coupling: CouplingMode, constants, exposure) -> dict:
             y = sum(b.counts for b in bins)
         else:
             raise ValidationError("bayes limit needs --input or --y-total with --bins")
-        spec = posterior_spec(y, bins, args.r_c, coupling,
-                              exposure=exposure, constants=constants)
-        limit = lambda_credible_limit(spec, args.cl)
-        return {
-            "lambda_upper_s_inv": limit.lambda_upper,
-            "confidence": limit.confidence,
-            "coupling": coupling.value,
-            "r_c_m": args.r_c,
-            "y_total": y,
-            "harmonic_sum": spec.harmonic_sum,
-            "method": "bayes",
-        }
+
+        def bayes_payload(coupling: CouplingMode) -> dict:
+            spec = posterior_spec(y, bins, args.r_c, coupling,
+                                  exposure=exposure, constants=constants)
+            limit = lambda_credible_limit(spec, args.cl)
+            return {
+                "lambda_upper_s_inv": limit.lambda_upper,
+                "confidence": limit.confidence,
+                "coupling": coupling.value,
+                "r_c_m": args.r_c,
+                "y_total": y,
+                "harmonic_sum": spec.harmonic_sum,
+                "method": "bayes",
+            }
+        return bayes_payload
 
     if args.y_total is not None:
         raise ValidationError("--y-total applies to --method bayes only")
@@ -161,43 +176,46 @@ def _limit_payload(args, coupling: CouplingMode, constants, exposure) -> dict:
         if not alpha_upper >= 0:
             raise ValidationError(f"--alpha-upper must be >= 0, got {alpha_upper}")
     elif args.input:
-        spectrum = load_spectrum(args.input)
-        sel = RangeSelection(e_min=args.emin, e_max=args.emax,
-                             min_counts=args.min_counts
-                             if args.min_counts is not None else DEFAULT_MIN_COUNTS)
-        fit = fit_alpha(select(spectrum, sel))
-        alpha_upper = alpha_upper_limit(fit, args.cl)
+        alpha_upper = alpha_upper_limit(_chi2_fit(args), args.cl)
     else:
         raise ValidationError("chi2 limit needs --input or --alpha-upper")
-    lam = lambda_from_alpha(alpha_upper, args.r_c, coupling,
-                            exposure_factor(exposure), constants)
-    return {
-        "lambda_upper_s_inv": lam,
-        "confidence": args.cl,
-        "coupling": coupling.value,
-        "r_c_m": args.r_c,
-        "alpha_upper": alpha_upper,
-        "method": "chi2",
-    }
+
+    def chi2_payload(coupling: CouplingMode) -> dict:
+        lam = lambda_from_alpha(alpha_upper, args.r_c, coupling,
+                                exposure_factor(exposure), constants)
+        return {
+            "lambda_upper_s_inv": lam,
+            "confidence": args.cl,
+            "coupling": coupling.value,
+            "r_c_m": args.r_c,
+            "alpha_upper": alpha_upper,
+            "method": "chi2",
+        }
+    return chi2_payload
 
 
 def cmd_limit(args) -> int:
     constants, exposure = _physics_inputs(args)
     coupling = CouplingMode.from_label(args.coupling)
-    _emit_json(args, _limit_payload(args, coupling, constants, exposure))
+    _emit_json(args, _limit_route(args, constants, exposure)(coupling))
     return 0
 
 
 def cmd_scan(args) -> int:
+    from .scan import builtin_reference_points, load_overlay_boundary, save_curves, scan
+
+    if args.overlay and not args.svg:
+        raise ValidationError("--overlay is drawn on the --svg plot; give --svg too")
     constants, exposure = _physics_inputs(args)
     grid = _parse_grid(args.grid)
-    curves = []
-    for coupling in CouplingMode:
-        payload = _limit_payload(args, coupling, constants, exposure)
-        curves.append(scan(payload["lambda_upper_s_inv"], args.r_c, grid,
-                           coupling, args.method, args.cl))
+    payload = _limit_route(args, constants, exposure)
+    curves = [scan(payload(coupling)["lambda_upper_s_inv"], args.r_c, grid,
+                   coupling, args.method, args.cl)
+              for coupling in CouplingMode]
     save_curves(curves, args.out)
     if args.svg:
+        from .svg import save_exclusion_svg
+
         overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
         save_exclusion_svg(args.svg, curves,
                            references=builtin_reference_points(), overlay=overlay,
@@ -205,11 +223,18 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _synth_config(args):
+    from .synth import SynthConfig
+
+    return SynthConfig(alpha_true=args.alpha, e_min=args.emin, e_max=args.emax,
+                       bin_width=args.bin_width,
+                       flat_background_per_bin=args.background, seed=args.seed)
+
+
 def cmd_synth(args) -> int:
-    config = SynthConfig(alpha_true=args.alpha, e_min=args.emin, e_max=args.emax,
-                         bin_width=args.bin_width,
-                         flat_background_per_bin=args.background, seed=args.seed)
-    spectrum = sample_spectrum(config)
+    from .synth import sample_spectrum
+
+    spectrum = sample_spectrum(_synth_config(args))
     if args.out:
         save_spectrum(spectrum, args.out)
     else:
@@ -218,10 +243,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    config = SynthConfig(alpha_true=args.alpha, e_min=args.emin, e_max=args.emax,
-                         bin_width=args.bin_width,
-                         flat_background_per_bin=args.background, seed=args.seed)
-    report = run_coverage(config, args.trials, args.method, args.cl)
+    from .synth import run_coverage
+
+    report = run_coverage(_synth_config(args), args.trials, args.method, args.cl)
     _emit_json(args, {
         "trials": report.trials,
         "covered": report.covered,
@@ -265,7 +289,7 @@ def _add_limit_input_flags(parser):
     parser.add_argument("--bins", help="analysis grid lo:hi:width, inclusive centers")
     parser.add_argument("--alpha-upper", type=float, default=None,
                         help="pre-computed amplitude bound (chi2 shortcut)")
-    parser.add_argument("--method", choices=["chi2", "bayes"], default="bayes",
+    parser.add_argument("--method", choices=METHODS, default="bayes",
                         help="limit construction")
 
 
@@ -294,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_flags(p, default_min_counts=DEFAULT_MIN_COUNTS)
     p.add_argument("--cl", type=float, default=DEFAULT_CONFIDENCE,
                    help="one-sided confidence level")
-    p.add_argument("--config", help="key=value file overriding constants/exposure")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_fit)
 
@@ -329,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="frequentist coverage study")
     _add_synth_flags(p)
     p.add_argument("--trials", type=int, default=1000, help="number of trials")
-    p.add_argument("--method", choices=["chi2", "bayes"], default="bayes",
+    p.add_argument("--method", choices=METHODS, default="bayes",
                    help="limit construction under test")
     p.add_argument("--cl", type=float, default=DEFAULT_CONFIDENCE,
                    help="confidence / credibility level")

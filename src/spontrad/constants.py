@@ -41,6 +41,9 @@ class PhysicalConstants:
 
 CODATA2018 = PhysicalConstants()
 
+# Limit constructions: chi-square fit or Poisson-count posterior.
+METHODS = ("chi2", "bayes")
+
 
 class CouplingMode(Enum):
     """Which mass enters the emission rate: nucleon (mass-proportional noise

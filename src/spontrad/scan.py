@@ -13,18 +13,12 @@ grid span mirrors customary plots rather than a derived applicability bound.
 import math
 from dataclasses import dataclass
 
-from .constants import CouplingMode
+from .constants import METHODS, CouplingMode
 from .errors import SpectrumFormatError, ValidationError
 from .spectrum import check_grid_size
 
-METHODS = ("chi2", "bayes")
-
 CURVE_CSV_HEADER = "r_c_m,lambda_limit_s_inv,coupling,method,confidence"
 OVERLAY_CSV_HEADER = "r_c_m,lambda_s_inv"
-
-DEFAULT_GRID_MIN_M = 1e-9
-DEFAULT_GRID_MAX_M = 1e-3
-DEFAULT_GRID_POINTS = 200
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .backend import kernels
 from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
 from .chi2fit import alpha_upper_limit, fit_alpha, fit_counts
+from .constants import METHODS
 from .errors import InsufficientDataError, ValidationError
-from .scan import METHODS
 from .spectrum import (BinnedSpectrum, EnergyBin, RangeSelection, center_grid, select,
                        total_counts)
 

@@ -59,6 +59,15 @@ class TestFit:
         assert json.loads(out.read_text())["alpha_hat"] == pytest.approx(100.0)
 
 
+    def test_config_flag_is_not_accepted(self, run_cli, data_dir, tmp_path):
+        # fit uses no physical constants, so a config file has nothing to set.
+        cfg = tmp_path / "physics.cfg"
+        cfg.write_text("exposure_kg_day = 80\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("fit", "--input", data_dir / "synth_igex_like.csv", "--config", cfg)
+        assert exc.value.code == 2
+
+
 class TestLimit:
     def test_bayes_total_counts_shortcut(self, run_cli, schemas):
         r = run_cli("limit", "--method", "bayes", "--y-total", 130,
@@ -347,6 +356,29 @@ class TestScan:
                 "--grid", "1e-9:1e-3:30", "--out", out,
                 "--svg", svg, "--overlay", overlay)
         assert svg.read_text().count('class="overlay"') == 1
+
+    def test_overlay_without_svg_exits_2(self, run_cli, tmp_path, schemas, data_dir):
+        # The overlay is only ever drawn on the plot; even a malformed one
+        # (a spectrum file) used to pass unread.
+        out = tmp_path / "curves.csv"
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 143,
+                    "--grid", "1e-9:1e-3:5", "--out", out,
+                    "--overlay", data_dir / "synth_igex_like.csv")
+        assert r.code == 2
+        jsonschema.validate(r.error, schemas["error"])
+        assert "--overlay" in r.error["error"]["message"]
+        assert not out.exists()
+
+    def test_input_spectrum_is_loaded_once(self, run_cli, tmp_path, data_dir, monkeypatch):
+        loads = []
+        load = spontrad.cli.load_spectrum
+        monkeypatch.setattr(spontrad.cli, "load_spectrum",
+                            lambda path: loads.append(path) or load(path))
+        for method in ("chi2", "bayes"):
+            r = run_cli("scan", "--method", method, "--input", data_dir / "synth_igex_like.csv",
+                        "--grid", "1e-9:1e-3:5", "--out", tmp_path / f"{method}.csv")
+            assert r.code == 0
+        assert len(loads) == 2
 
     def test_bad_grid_exits_2(self, run_cli, tmp_path):
         r = run_cli("scan", "--method", "chi2", "--alpha-upper", 143,
