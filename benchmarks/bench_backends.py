@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
-"""Timing comparison of the compiled and pure-Python kernel backends.
+"""Per-kernel timing of spontrad's numerical kernels.
 
-Runs identical workloads against spontrad._kernels (Cython, if built) and
-spontrad._kernels_py, checks that the outputs agree bit-for-bit, and prints
-a per-kernel table.  Usage:  python benchmarks/bench_backends.py [repeats]
+Runs six fixed loops over spontrad._kernels_py and prints the best time of
+each.  Usage:  python benchmarks/bench_backends.py [repeats]
 """
 
 import sys
@@ -11,15 +10,8 @@ import time
 
 
 def _load_backends():
-    backends = []
-    try:
-        from spontrad import _kernels
-        backends.append(("compiled", _kernels))
-    except ImportError:
-        print("note: compiled extension not built; benchmarking pure Python only")
     from spontrad import _kernels_py
-    backends.append(("python", _kernels_py))
-    return backends
+    return [("python", _kernels_py)]
 
 
 def _time(fn, repeats):
@@ -97,23 +89,11 @@ WORKLOADS = [
 
 def main():
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-    backends = _load_backends()
-    print(f"{'workload':<30}" + "".join(f"{name:>12}" for name, _ in backends)
-          + ("     speedup" if len(backends) == 2 else ""))
+    [(name, mod)] = _load_backends()
+    print(f"{'workload':<30}{name:>12}")
     for label, make in WORKLOADS:
-        times = []
-        results = []
-        for _, mod in backends:
-            best, result = _time(make(mod), repeats)
-            times.append(best)
-            results.append(result)
-        if len(set(repr(r) for r in results)) != 1:
-            raise SystemExit(f"backend disagreement in {label}: {results}")
-        row = f"{label:<30}" + "".join(f"{t * 1e3:>10.2f}ms" for t in times)
-        if len(times) == 2:
-            row += f"{times[1] / times[0]:>11.1f}x"
-        print(row)
-    print("all workloads returned identical results across backends")
+        best, _ = _time(make(mod), repeats)
+        print(f"{label:<30}{best * 1e3:>10.2f}ms")
 
 
 if __name__ == "__main__":

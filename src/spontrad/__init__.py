@@ -8,8 +8,7 @@ into exclusion curves.  See the README for the CLI and file formats.
 
 The names below load their submodule on first use (PEP 562), so a process
 pays only for the modules it touches; ``from spontrad import X`` works as
-for any package.  The backend is chosen eagerly: a bad SPONTRAD_BACKEND
-fails at ``import spontrad``.
+for any package.
 """
 
 import importlib

@@ -1,9 +1,7 @@
-"""Scalar numerical kernels, pure-Python backend.
+"""Scalar numerical kernels: the package's one implementation of them.
 
-This module is the fallback twin of the compiled extension
-``spontrad._kernels``: same algorithms, same constants, same operation order,
-so both backends produce bit-identical results on one platform.  Keep the two
-files in sync; ``tests/test_backends.py`` enforces agreement.
+``tests/test_backends.py`` checks them against scipy and the RNG against an
+independent implementation of the published recurrences.
 
 Contents:
   * log_gamma          -- Lanczos (g = 7, 9 coefficients), reflection for x < 1/2

@@ -1,35 +1,10 @@
-"""Selects the numerical kernel backend at import time.
+"""The numerical kernels: spontrad._kernels_py, the one kernel source."""
 
-The compiled extension (spontrad._kernels, Cython) is preferred; the
-pure-Python twin (spontrad._kernels_py) is the fallback.  Override with the
-environment variable SPONTRAD_BACKEND={compiled,python}; requesting the
-compiled backend when it is not built raises ImportError instead of silently
-degrading.
-"""
+from spontrad import _kernels_py as kernels
 
-import os
-
-_requested = os.environ.get("SPONTRAD_BACKEND", "").strip().lower()
-
-if _requested in ("python", "py", "pure"):
-    from spontrad import _kernels_py as kernels
-    BACKEND = "python"
-elif _requested in ("", "compiled", "c"):
-    try:
-        from spontrad import _kernels as kernels  # type: ignore[no-redef]
-        BACKEND = "compiled"
-    except ImportError:
-        if _requested:
-            raise ImportError(
-                "SPONTRAD_BACKEND=compiled but the spontrad._kernels extension "
-                "is not built; reinstall with a C toolchain available")
-        from spontrad import _kernels_py as kernels
-        BACKEND = "python"
-else:
-    raise ImportError(
-        f"unrecognized SPONTRAD_BACKEND={_requested!r}; use 'compiled' or 'python'")
+BACKEND = "python"
 
 
 def backend_name() -> str:
-    """Name of the kernel backend in use: 'compiled' or 'python'."""
+    """Name of the kernel backend: always 'python'."""
     return BACKEND

@@ -56,16 +56,11 @@ def harmonic_sum(bins) -> float:
 
 @dataclass(frozen=True)
 class PosteriorSpec:
-    """Inputs of the gamma-form posterior over the expected total count.
-
-    offset is the +1 shift in Lambda(lam); it is part of the posterior
-    construction, not of the physical expectation, and is pinned to 1.
-    """
+    """Inputs of the gamma-form posterior over the expected total count."""
 
     y_total: int
     harmonic_sum: float
     conversion: float
-    offset: float = 1.0
 
     def __post_init__(self):
         try:
@@ -81,8 +76,6 @@ class PosteriorSpec:
         if not (self.conversion > 0 and math.isfinite(self.conversion)):
             raise ValidationError(
                 f"conversion must be positive and finite, got {self.conversion}")
-        if self.offset != 1.0:
-            raise ValidationError(f"offset is pinned to 1, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -119,20 +112,22 @@ def posterior_spec(y_total: int, bins, r_c: float, coupling,
 def lambda_credible_limit(spec: PosteriorSpec, confidence: float) -> CredibleLimit:
     """Credible upper limit on the collapse rate from the truncated posterior.
 
-    Solves [P(y+1, L) - P(y+1, offset)] / [1 - P(y+1, offset)] = confidence
-    for L and returns (L - offset) / (conversion * harmonic_sum).  The
-    truncation to L >= offset matters only for very small y (for y ~ 100,
-    P(y+1, 1) underflows to 0 and the renormalization is a no-op).
+    Solves [P(y+1, L) - P(y+1, 1)] / [1 - P(y+1, 1)] = confidence for L and
+    returns (L - 1) / (conversion * harmonic_sum).  The 1 is the +1 shift in
+    Lambda(lam); it is part of the posterior construction, not of the
+    physical expectation.  The truncation to L >= 1 matters only for very
+    small y (for y ~ 100, P(y+1, 1) underflows to 0 and the renormalization
+    is a no-op).
     """
     if not 0.0 < confidence < 1.0:
         raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
     shape = spec.y_total + 1.0
-    base = reg_inc_gamma(shape, spec.offset)
+    base = reg_inc_gamma(shape, 1.0)
     if base >= 1.0:
         raise NumericalError(
             f"posterior mass entirely below the offset (y={spec.y_total})")
     target = base + confidence * (1.0 - base)
     cap = gamma_quantile(shape, target)
-    lam = (cap - spec.offset) / (spec.conversion * spec.harmonic_sum)
+    lam = (cap - 1.0) / (spec.conversion * spec.harmonic_sum)
     return CredibleLimit(lambda_upper=max(lam, 0.0), confidence=confidence,
                          lambda_cap_95=cap)

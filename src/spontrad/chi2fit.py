@@ -24,19 +24,17 @@ class FitResult:
     sigma_alpha: float
     chi2: float
     n_bins: int
-    n_params: int = 1
 
     def __post_init__(self):
         if not self.sigma_alpha > 0:
             raise ValidationError(f"sigma_alpha must be positive, got {self.sigma_alpha}")
-        if not self.n_bins > self.n_params:
-            raise ValidationError(
-                f"need more bins ({self.n_bins}) than parameters ({self.n_params})")
+        if not self.n_bins > 1:
+            raise ValidationError(f"need more bins ({self.n_bins}) than parameters (1)")
 
     @property
     def ndf(self) -> int:
-        """Degrees of freedom of the minimum: bins minus free parameters."""
-        return self.n_bins - self.n_params
+        """Degrees of freedom of the minimum: bins minus the one parameter, alpha."""
+        return self.n_bins - 1
 
     @property
     def reduced_chi2(self) -> float:

@@ -96,13 +96,17 @@ def _emit_json(args, payload: dict) -> None:
     _emit_text(args, text + "\n")
 
 
+def _selected_input(args, default_min_counts: int):
+    """The --input spectrum cut to the window and --min-counts (or the default)."""
+    spectrum = load_spectrum(args.input)
+    min_counts = args.min_counts if args.min_counts is not None else default_min_counts
+    return select(spectrum, RangeSelection(e_min=args.emin, e_max=args.emax,
+                                           min_counts=min_counts))
+
+
 def _chi2_fit(args):
     """Chi-square fit of the selected --input spectrum."""
-    spectrum = load_spectrum(args.input)
-    sel = RangeSelection(e_min=args.emin, e_max=args.emax,
-                         min_counts=args.min_counts
-                         if args.min_counts is not None else DEFAULT_MIN_COUNTS)
-    return fit_alpha(select(spectrum, sel))
+    return fit_alpha(_selected_input(args, DEFAULT_MIN_COUNTS))
 
 
 def _fit_payload(args):
@@ -124,16 +128,6 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _selected_bins(args):
-    """Bins entering a limit: --bins shortcut or a selected input spectrum."""
-    if args.bins:
-        return _parse_bins(args.bins)
-    spectrum = load_spectrum(args.input)
-    sel = RangeSelection(e_min=args.emin, e_max=args.emax,
-                         min_counts=args.min_counts if args.min_counts is not None else 0)
-    return list(select(spectrum, sel).bins)
-
-
 def _limit_route(args, constants, exposure):
     """Check the limit flags and read, select or fit the input once.
 
@@ -149,7 +143,8 @@ def _limit_route(args, constants, exposure):
             y = args.y_total
             bins = _parse_bins(args.bins)
         elif args.input:
-            bins = _selected_bins(args)
+            bins = (_parse_bins(args.bins) if args.bins
+                    else list(_selected_input(args, 0).bins))
             y = sum(b.counts for b in bins)
         else:
             raise ValidationError("bayes limit needs --input or --y-total with --bins")

@@ -134,8 +134,6 @@ class TestPosteriorSpec:
         with pytest.raises(ValidationError):
             PosteriorSpec(y_total=1, harmonic_sum=1.0, conversion=-2.0)
         with pytest.raises(ValidationError):
-            PosteriorSpec(y_total=1, harmonic_sum=1.0, conversion=1.0, offset=0.0)
-        with pytest.raises(ValidationError):
             PosteriorSpec(y_total=1.5, harmonic_sum=1.0, conversion=1.0)
 
     def test_helper_composes_conversion(self):

@@ -1,7 +1,8 @@
-"""Start-up contract: each command loads only the spontrad modules it runs.
+"""Start-up contract: each command loads only the spontrad modules it runs,
+and the package keeps the names the benchmark imports.
 
-Every check runs in a fresh interpreter and looks at ``sys.modules``, so
-what an earlier test imported does not leak in.
+The module-loading checks run in a fresh interpreter and look at
+``sys.modules``, so what an earlier test imported does not leak in.
 """
 
 import json
@@ -16,6 +17,7 @@ import spontrad
 
 SRC = str(Path(spontrad.__file__).resolve().parent.parent)
 DATA = Path(SRC) / "spontrad" / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 # Runs main() on argv and prints the spontrad submodules then loaded.
 RUN_COMMAND = """
@@ -108,7 +110,31 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(spontrad, "no_such_name")
 
 
-def test_bad_backend_still_fails_at_import():
-    result = python("import spontrad", env={"SPONTRAD_BACKEND": "bogus"})
-    assert result.returncode != 0
-    assert "ImportError" in result.stderr
+def test_kernels_and_backend_name_are_fixed():
+    import spontrad._kernels_py
+    import spontrad.backend
+    assert spontrad.backend.kernels is spontrad._kernels_py
+    assert spontrad.backend_name() == spontrad.BACKEND == "python"
+    # SPONTRAD_BACKEND is not read.
+    result = python("import spontrad; print(spontrad.backend_name())",
+                    env={"SPONTRAD_BACKEND": "compiled"})
+    assert result.stdout == "python\n", result.stderr
+
+
+def test_benchmark_kernel_loops_keep_their_seams():
+    # perfbench/kernels_bench.py imports benchmarks/bench_backends.py and
+    # reads these names; a change here would otherwise show only there.
+    result = python("""
+import sys
+from pathlib import Path
+sys.path.insert(0, str(Path(sys.argv[1]) / "perfbench"))
+import kernels_bench
+from spontrad import _kernels_py
+bench = kernels_bench.bench_backends(Path(sys.argv[1]))
+assert bench._load_backends() == [("python", _kernels_py)]
+best, value = bench._time(lambda: 7, 2)
+assert value == 7 and best >= 0.0
+assert [make.__name__ for _, make in bench.WORKLOADS] == list(kernels_bench.PER_CALL)
+print("ok")
+""", ROOT)
+    assert result.stdout == "ok\n", result.stderr
