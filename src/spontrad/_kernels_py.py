@@ -15,7 +15,9 @@ Contents:
                           single-uniform inversion Poisson sampling for mean
                           < 30 and PTRS transformed rejection above
   * poisson_plan       -- per-grid sampler state for Rng.poisson_counts, which
-                          draws a grid whose means are reused across streams
+                          draws a grid whose means are reused across streams:
+                          inversion tables, PTRS constants and one shared
+                          log-factorial memo
 """
 
 import math
@@ -334,7 +336,9 @@ class Rng:
 
         Draws the same uniforms in the same order and leaves the generator
         in the same state.  The xoshiro256** step is written out as in
-        uniform(), with the state in locals for the whole grid.
+        uniform(), with the state in locals for the whole grid.  A PTRS
+        squeeze miss reads log_gamma(k + 1.0) from the plan's memo, and
+        computes and stores it on the first miss at that k.
         """
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         counts = []
@@ -344,7 +348,7 @@ class Rng:
                 if tail is None:
                     counts.append(0)
                     continue
-                mean, loglam, a, b, vr, log_invalpha = tail
+                mean, loglam, a, b, vr, log_invalpha, log_factorial = tail
                 for _ in range(10000):
                     r = (s1 * 5) & _MASK64
                     result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
@@ -372,8 +376,11 @@ class Rng:
                         break
                     if k < 0 or (us < 0.013 and v > us):
                         continue
+                    log_k_factorial = log_factorial.get(k)
+                    if log_k_factorial is None:
+                        log_k_factorial = log_factorial[k] = log_gamma(k + 1.0)
                     if (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
-                            <= k * loglam - mean - log_gamma(k + 1.0)):
+                            <= k * loglam - mean - log_k_factorial):
                         break
                 else:
                     raise ValueError(
@@ -434,9 +441,13 @@ def poisson_plan(means):
     """Sampler state for Rng.poisson_counts, built once for reused means.
 
     One entry per mean: (cdf, tail) from _inversion_table below 30,
-    (None, PTRS constants) from 30 up, (None, None) for a zero mean, which
-    draws no uniform.  Invalid means raise as Rng.poisson does.
+    (None, PTRS constants + (memo,)) from 30 up, (None, None) for a zero
+    mean, which draws no uniform.  The PTRS entries share one memo, a dict
+    from k to log_gamma(k + 1.0) that poisson_counts fills as it goes, so
+    it holds at most one value per distinct k the plan's draws reach.
+    Invalid means raise as Rng.poisson does.
     """
+    log_factorial = {}
     plan = []
     for mean in means:
         if not mean >= 0.0 or not math.isfinite(mean):
@@ -446,5 +457,5 @@ def poisson_plan(means):
         elif mean < 30.0:
             plan.append(_inversion_table(mean))
         else:
-            plan.append((None, _ptrs_constants(mean)))
+            plan.append((None, _ptrs_constants(mean) + (log_factorial,)))
     return tuple(plan)

@@ -26,8 +26,7 @@ class FitResult:
     n_bins: int
 
     def __post_init__(self):
-        if not self.sigma_alpha > 0:
-            raise ValidationError(f"sigma_alpha must be positive, got {self.sigma_alpha}")
+        _check_sigma(self.sigma_alpha)
         if not self.n_bins > 1:
             raise ValidationError(f"need more bins ({self.n_bins}) than parameters (1)")
 
@@ -53,6 +52,8 @@ def fit_alpha(spectrum: BinnedSpectrum) -> FitResult:
 
 def fit_counts(centers, counts) -> FitResult:
     """fit_alpha on parallel lists of bin centers (keV) and integer counts."""
+    if len(centers) != len(counts):
+        raise ValidationError(f"{len(centers)} bin centers but {len(counts)} counts")
     if len(centers) < 2:
         raise InsufficientDataError(
             f"chi-square fit needs at least 2 bins, got {len(centers)}")
@@ -62,13 +63,32 @@ def fit_counts(centers, counts) -> FitResult:
             "apply a min-counts selection first")
 
     pairs = list(zip(centers, counts))
-    sum_inv_e = math.fsum(1.0 / e for e in centers)
-    sum_w = math.fsum(1.0 / (y * e * e) for e, y in pairs)
-    alpha_hat = sum_inv_e / sum_w
-    sigma_alpha = sum_w ** -0.5
+    alpha_hat, sigma_alpha = closed_form(pairs)
     chi2 = math.fsum((y - alpha_hat / e) ** 2 / y for e, y in pairs)
     return FitResult(alpha_hat=alpha_hat, sigma_alpha=sigma_alpha, chi2=chi2,
                      n_bins=len(centers))
+
+
+def closed_form(pairs) -> tuple:
+    """(alpha_hat, sigma_alpha) of the fit over (center, count) pairs.
+
+    The two sums of the module docstring, without the input checks:
+    fit_counts checks the bins first, and a coverage trial keeps two or
+    more bins, each of at least synth.CHI2_MIN_COUNTS counts.  A weight
+    that overflows to inf gives sigma_alpha 0, which raises the error a
+    FitResult raises for it.
+    """
+    sum_inv_e = math.fsum(1.0 / e for e, _ in pairs)
+    sum_w = math.fsum(1.0 / (y * e * e) for e, y in pairs)
+    alpha_hat = sum_inv_e / sum_w
+    sigma_alpha = sum_w ** -0.5
+    _check_sigma(sigma_alpha)
+    return alpha_hat, sigma_alpha
+
+
+def _check_sigma(sigma_alpha: float) -> None:
+    if not sigma_alpha > 0:
+        raise ValidationError(f"sigma_alpha must be positive, got {sigma_alpha}")
 
 
 def normal_quantile(p: float) -> float:

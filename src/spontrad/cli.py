@@ -6,8 +6,9 @@ artifacts (scan, synth).  Pipeline failures print a machine-readable error
 object to stderr and exit with 2 (validation), 3 (I/O) or 4 (numerical
 non-convergence); argparse keeps its usual usage-error behavior.
 
-The modules that only one command uses (scan, svg, synth) are imported
-when that command runs, so a fit or limit process never loads them.
+The modules that only some commands use are imported where they run:
+scan, svg and synth by their commands, config by limit and scan, model on
+the chi2 route of limit and scan.  A fit process loads none of them.
 """
 
 import argparse
@@ -18,10 +19,8 @@ from dataclasses import replace
 
 from .bayes import lambda_credible_limit, posterior_spec
 from .chi2fit import alpha_upper_limit, fit_alpha
-from .config import constants_from, exposure_from, load_config
 from .constants import METHODS, CouplingMode, exposure_factor
 from .errors import NumericalError, ValidationError
-from .model import lambda_from_alpha
 from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
                        load_spectrum, save_spectrum, select)
 
@@ -33,6 +32,8 @@ DEFAULT_CONFIDENCE = 0.95
 DEFAULT_GRID_MIN_M = 1e-9
 DEFAULT_GRID_MAX_M = 1e-3
 DEFAULT_GRID_POINTS = 200
+# --bins is the grid of the --y-total shortcut; an --input file has its own.
+BINS_WITHOUT_Y_TOTAL = "--bins applies to --method bayes with --y-total only"
 
 
 def _parse_bins(spec: str) -> list:
@@ -69,6 +70,8 @@ def _parse_grid(spec: str) -> list:
 
 def _physics_inputs(args):
     """Constants and exposure: defaults <- config file <- dedicated flags."""
+    from .config import constants_from, exposure_from, load_config
+
     values = load_config(args.config) if args.config else {}
     constants = constants_from(values)
     exposure = exposure_from(values)
@@ -142,9 +145,10 @@ def _limit_route(args, constants, exposure):
                 raise ValidationError("--y-total requires --bins lo:hi:width")
             y = args.y_total
             bins = _parse_bins(args.bins)
+        elif args.bins:
+            raise ValidationError(BINS_WITHOUT_Y_TOTAL)
         elif args.input:
-            bins = (_parse_bins(args.bins) if args.bins
-                    else list(_selected_input(args, 0).bins))
+            bins = list(_selected_input(args, 0).bins)
             y = sum(b.counts for b in bins)
         else:
             raise ValidationError("bayes limit needs --input or --y-total with --bins")
@@ -166,6 +170,8 @@ def _limit_route(args, constants, exposure):
 
     if args.y_total is not None:
         raise ValidationError("--y-total applies to --method bayes only")
+    if args.bins:
+        raise ValidationError(BINS_WITHOUT_Y_TOTAL)
     if args.alpha_upper is not None:
         alpha_upper = args.alpha_upper
         if not alpha_upper >= 0:
@@ -174,6 +180,7 @@ def _limit_route(args, constants, exposure):
         alpha_upper = alpha_upper_limit(_chi2_fit(args), args.cl)
     else:
         raise ValidationError("chi2 limit needs --input or --alpha-upper")
+    from .model import lambda_from_alpha
 
     def chi2_payload(coupling: CouplingMode) -> dict:
         lam = lambda_from_alpha(alpha_upper, args.r_c, coupling,

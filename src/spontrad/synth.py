@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .backend import kernels
 from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
-from .chi2fit import alpha_upper_limit, fit_alpha, fit_counts
+from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
 from .constants import METHODS
 from .errors import InsufficientDataError, ValidationError
 from .spectrum import (BinnedSpectrum, EnergyBin, RangeSelection, center_grid, select,
@@ -253,8 +253,11 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     Each trial gives the limit alpha_limit_for_trial gives on
     sample_spectrum(config, i), computed on plain count lists.  A bayes
     limit depends on the trial only through its total count, so it is
-    computed once per distinct total.  The trials are split across the CPUs
-    the process may use (_split_trials); the report does not depend on how.
+    computed once per distinct total.  A chi2 limit is alpha_upper_limit's
+    expression on closed_form's sums, with the normal quantile taken once
+    per study: no FitResult is built and no chi2 is summed.  The trials are
+    split across the CPUs the process may use (_split_trials); the report
+    does not depend on how.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -270,6 +273,8 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     harmonic = harmonic_sum(bins)
     # Centers ascend from e_min, so the chi2 window is a prefix of the grid.
     window = centers[:sum(c <= config.e_max for c in centers)]
+    # alpha_upper_limit's normal quantile, taken once for the study.
+    z = normal_quantile(confidence)
 
     def count(start: int, stop: int) -> tuple:
         """(covered, skipped) over trials start..stop-1."""
@@ -287,8 +292,8 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
                 if len(kept) < 2:
                     skipped += 1
                     continue
-                fit = fit_counts([c for c, _ in kept], [n for _, n in kept])
-                limit = alpha_upper_limit(fit, confidence)
+                alpha_hat, sigma_alpha = closed_form(kept)
+                limit = alpha_hat + z * sigma_alpha
             if limit >= config.alpha_true:
                 covered += 1
         return covered, skipped

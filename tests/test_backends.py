@@ -231,6 +231,31 @@ class TestPoissonPlan:
         for _ in range(5000):
             assert planned.poisson_counts(plan) == [looped.poisson(m) for m in means]
 
+    def test_reused_plan_matches_the_loop_with_cold_and_warm_memo(self, kern):
+        # A study draws every trial from one plan.  Its PTRS entries share
+        # one log-factorial memo: the first pass over the streams fills it,
+        # the second pass only reads it.
+        means = [30.0, 31.5, 47.3, 64.0, 115.0, 300.0, 700.0]
+        plan = kern.poisson_plan(means)
+        memo = plan[0][1][-1]
+        assert memo == {}
+        assert all(cdf is None and tail[-1] is memo for cdf, tail in plan)
+
+        def draw_every_stream():
+            for i in range(2000):
+                planned = kern.Rng(kern.mix_seed(11, i))
+                looped = kern.Rng(kern.mix_seed(11, i))
+                assert planned.poisson_counts(plan) == [looped.poisson(m) for m in means]
+                assert planned.next_u64() == looped.next_u64()
+
+        draw_every_stream()
+        filled = dict(memo)
+        assert filled
+        draw_every_stream()
+        # The warm pass reaches the same k, so it only reads the memo.
+        assert memo == filled
+        assert all(value == kern.log_gamma(k + 1.0) for k, value in memo.items())
+
     @pytest.mark.parametrize("mean", [1e-300, 0.1, 0.5, 3.0, 7.67, 18.12, 29.9])
     def test_table_lookup_equals_the_loop_at_every_edge(self, mean):
         cdf, tail = _kernels_py._inversion_table(mean)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from spontrad.chi2fit import (FitResult, alpha_upper_limit, fit_alpha,
-                              normal_quantile)
+from spontrad.chi2fit import (FitResult, alpha_upper_limit, closed_form, fit_alpha,
+                              fit_counts, normal_quantile)
 from spontrad.errors import InsufficientDataError, ValidationError
 from spontrad.spectrum import BinnedSpectrum, EnergyBin
 
@@ -52,6 +52,10 @@ class TestFitAlpha:
         with pytest.raises(InsufficientDataError):
             fit_alpha(spectrum_from([10]))
 
+    def test_unequal_lists_rejected(self):
+        with pytest.raises(ValidationError, match="3 bin centers but 2 counts"):
+            fit_counts([15.0, 16.0, 17.0], [10, 12])
+
     def test_zero_count_bin_rejected(self):
         with pytest.raises(ValidationError):
             fit_alpha(spectrum_from([10, 0, 5]))
@@ -93,6 +97,27 @@ class TestFitAlpha:
         fit = fit_alpha(s)
         assert fit.alpha_hat == pytest.approx(float(k), rel=1e-10)
         assert fit.chi2 <= 1e-10 * max(1.0, fit.alpha_hat)
+
+
+class TestClosedForm:
+    def test_equals_the_fit(self):
+        centers, counts = [15.0, 16.0, 17.0, 30.0], [12, 7, 9, 5]
+        fit = fit_counts(centers, counts)
+        assert closed_form(list(zip(centers, counts))) == (fit.alpha_hat, fit.sigma_alpha)
+
+    def test_overflowing_weight_raises_the_fit_error(self):
+        # 1e-160**2 is subnormal, so 1/(y E^2) overflows to inf and
+        # sigma_alpha = sum_w**-0.5 comes out 0.
+        centers, counts = [1e-160, 1.0], [10, 10]
+        with pytest.raises(ValidationError) as fitted:
+            fit_counts(centers, counts)
+        with pytest.raises(ValidationError) as summed:
+            closed_form(list(zip(centers, counts)))
+        assert str(summed.value) == str(fitted.value) == (
+            "sigma_alpha must be positive, got 0.0")
+        with pytest.raises(ValidationError) as built:
+            FitResult(alpha_hat=0.0, sigma_alpha=0.0, chi2=0.0, n_bins=2)
+        assert str(built.value) == str(fitted.value)
 
 
 class TestFitResult:

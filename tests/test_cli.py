@@ -171,6 +171,32 @@ class TestExitCodes:
             jsonschema.validate(r.error, schemas["error"])
             assert r.error["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize("command", ["limit", "scan"])
+    @pytest.mark.parametrize("route", [
+        ("--method", "bayes", "--input", "{data}/synth_igex_like.csv"),
+        ("--method", "chi2", "--input", "{data}/synth_igex_like.csv"),
+        ("--method", "chi2", "--alpha-upper", 143),
+        ("--method", "bayes"),
+    ], ids=["bayes-input", "chi2-input", "chi2-alpha-upper", "bayes-no-input"])
+    def test_bins_without_y_total_exits_2(self, run_cli, schemas, data_dir, tmp_path,
+                                          command, route):
+        # --bins is the grid of the --y-total shortcut.  A file brings its
+        # own bins, and the chi2 route has no such shortcut, so --bins
+        # anywhere else would be taken in place of the file or ignored.
+        route = [str(a).format(data=data_dir) for a in route]
+        out = tmp_path / "curves.csv"
+        extra = ["--grid", "1e-9:1e-3:5", "--out", out] if command == "scan" else []
+        r = run_cli(command, *route, "--bins", "15:48:1", *extra)
+        assert r.code == 2
+        assert r.out == ""
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error == {"error": {
+            "type": "validation",
+            "message": "--bins applies to --method bayes with --y-total only"}}
+        assert not out.exists()
+        if len(route) > 2:  # the route runs once --bins is dropped
+            assert run_cli(command, *route, *extra).code == 0
+
     def test_missing_file_exits_3(self, run_cli, tmp_path, schemas):
         r = run_cli("fit", "--input", tmp_path / "absent.csv")
         assert r.code == 3

@@ -43,17 +43,21 @@ def loaded_by(*argv) -> set:
 
 
 @pytest.mark.parametrize("argv,absent", [
-    (("fit", "--input", DATA / "synth_igex_like.csv"), {"scan", "svg", "synth"}),
-    (("limit", "--y-total", 130, "--bins", "15:48:1"), {"scan", "svg", "synth"}),
+    (("fit", "--input", DATA / "synth_igex_like.csv"),
+     {"scan", "svg", "synth", "config", "model"}),
+    (("limit", "--y-total", 130, "--bins", "15:48:1"), {"scan", "svg", "synth", "model"}),
     (("limit", "--method", "chi2", "--input", DATA / "synth_igex_like.csv"),
      {"scan", "svg", "synth"}),
-    (("coverage", "--alpha", 115, "--trials", 10), {"scan", "svg"}),
-    (("synth", "--alpha", 115), {"scan", "svg"}),
+    (("coverage", "--alpha", 115, "--trials", 10), {"scan", "svg", "config", "model"}),
+    (("coverage", "--method", "chi2", "--alpha", 115, "--trials", 10),
+     {"scan", "svg", "config", "model"}),
+    (("synth", "--alpha", 115), {"scan", "svg", "config", "model"}),
     (("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
       "--out", "{tmp}/c.csv", "--svg", "{tmp}/c.svg"), {"synth"}),
     (("scan", "--y-total", 130, "--bins", "15:48:1", "--grid", "1e-9:1e-3:5",
-      "--out", "{tmp}/c.csv"), {"synth", "svg"}),
-], ids=["fit", "limit-bayes", "limit-chi2", "coverage", "synth", "scan", "scan-csv"])
+      "--out", "{tmp}/c.csv"), {"synth", "svg", "model"}),
+], ids=["fit", "limit-bayes", "limit-chi2", "coverage", "coverage-chi2", "synth", "scan",
+        "scan-csv"])
 def test_command_leaves_unused_modules_unloaded(argv, absent, tmp_path):
     argv = [str(a).format(tmp=tmp_path) for a in argv]
     loaded = loaded_by(*argv)

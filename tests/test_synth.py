@@ -8,7 +8,8 @@ from dataclasses import replace
 import pytest
 
 from spontrad import synth
-from spontrad.errors import InsufficientDataError, NumericalError, ValidationError
+from spontrad.errors import (InsufficientDataError, NumericalError, SelectionEmptyError,
+                             ValidationError)
 from spontrad.synth import (CoverageReport, SynthConfig, alpha_limit_for_trial,
                             draw_counts, run_coverage, sample_spectrum)
 from spontrad.spectrum import MAX_GRID_POINTS, total_counts
@@ -429,6 +430,44 @@ class TestSplitTrials:
             run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
         assert len(pids) == 2
         assert str(parallel.value) == str(serial.value)
+
+
+class TestChi2StudyTalliesTrialLimits:
+    @pytest.mark.parametrize("confidence", [0.68, 0.99])
+    @pytest.mark.parametrize("background", [0.0, 2.0])
+    @pytest.mark.parametrize("alpha", [50.0, 300.0, 1000.0, 1e4])
+    def test_covered_and_skipped_match_the_one_off_route(self, split, alpha, background,
+                                                         confidence):
+        # The study computes each chi2 limit from the closed-form sums; the
+        # one-off route fits a selected spectrum.  A trial with fewer than
+        # two bins left is skipped by the study and raises in the route.
+        cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
+                          seed=4242, **WINDOW)
+        trials = 200
+        covered = skipped = 0
+        for i in range(trials):
+            try:
+                limit = alpha_limit_for_trial(sample_spectrum(cfg, i), cfg, "chi2",
+                                              confidence)
+            except (InsufficientDataError, SelectionEmptyError):
+                skipped += 1
+                continue
+            covered += limit >= alpha
+        for workers in (1, 2):
+            split(workers)
+            report = run_coverage(cfg, trials, "chi2", confidence)
+            assert (report.covered, report.skipped) == (covered, skipped), workers
+
+    def test_overflowing_weight_raises_the_one_off_error(self):
+        # Centers near 1e-160 keV square to a subnormal, so a weight
+        # 1/(y E^2) overflows to inf and sigma_alpha comes out 0.
+        cfg = SynthConfig(alpha_true=100.0, e_min=1e-160, e_max=1e-159,
+                          bin_width=1e-160, seed=3)
+        with pytest.raises(ValidationError, match="sigma_alpha must be positive") as one:
+            alpha_limit_for_trial(sample_spectrum(cfg, 0), cfg, "chi2", 0.95)
+        with pytest.raises(ValidationError) as studied:
+            run_coverage(cfg, 5, "chi2", 0.95)
+        assert str(studied.value) == str(one.value)
 
 
 class TestCoverageReport:
