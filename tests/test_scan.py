@@ -183,3 +183,121 @@ class TestOverlay:
         path.write_text(f"{OVERLAY_CSV_HEADER}\n1e-7,0.0\n")
         with pytest.raises(ValidationError):
             load_overlay_boundary(path)
+
+
+def _csv(tmp_path, text):
+    """Write text byte for byte (no newline translation) to a fresh file."""
+    path = tmp_path / "f.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _expect(path, exc_type, message, load):
+    with pytest.raises(ValidationError) as info:
+        load(path)
+    assert type(info.value) is exc_type
+    assert str(info.value) == message.replace("{path}", str(path))
+
+
+C = CURVE_CSV_HEADER
+ROW = "1e-07,1e-12,mass-prop,chi2,0.95"
+
+# (id, file text, exact exception type, exact message with {path} for the file)
+CURVE_ERRORS = [
+    ("wrong-header", "r,l\n1e-7,1e-12\n", SpectrumFormatError,
+     "{path}:1: expected header "
+     "'r_c_m,lambda_limit_s_inv,coupling,method,confidence', got 'r,l'"),
+    ("empty-file", "", SpectrumFormatError,
+     "{path}: missing header line 'r_c_m,lambda_limit_s_inv,coupling,method,confidence'"),
+    ("comments-only", "# curves\n\n", SpectrumFormatError,
+     "{path}: missing header line 'r_c_m,lambda_limit_s_inv,coupling,method,confidence'"),
+    ("too-few-fields", f"{C}\n1e-07,1e-12,mass-prop,chi2\n", SpectrumFormatError,
+     "{path}:2: expected 5 fields, got 4"),
+    ("non-number", f"# c\n{C}\n\n1e-07,x,mass-prop,chi2,0.95\n", SpectrumFormatError,
+     "{path}:4: could not convert string to float: 'x'"),
+    ("unknown-coupling", f"{C}\n1e-07,1e-12,proton,chi2,0.95\n", SpectrumFormatError,
+     "{path}:2: unknown coupling 'proton'; expected one of ['mass-prop', 'non-mass-prop']"),
+    ("unknown-method", f"{C}\n1e-07,1e-12,mass-prop,freq,0.95\n", ValidationError,
+     "method must be one of ('chi2', 'bayes'), got 'freq'"),
+    ("confidence-out-of-range", f"{C}\n1e-07,1e-12,mass-prop,chi2,1.5\n", ValidationError,
+     "confidence must be in (0, 1), got 1.5"),
+    ("not-ascending", f"{C}\n1e-06,1e-12,mass-prop,chi2,0.95\n{ROW}\n", ValidationError,
+     "curve points not ascending in r_c at index 1: 1e-07"),
+    # Two faults.  A curve is checked when its group of rows ends: at the
+    # first row of the next group, or at the end of the file.
+    ("group-fault-before-later-format", f"{C}\n1e-07,1e-12,mass-prop,freq,0.95\n"
+     f"{ROW}\n1e-06,1e-12,mass-prop,chi2\n", ValidationError,
+     "method must be one of ('chi2', 'bayes'), got 'freq'"),
+    ("format-inside-open-group", f"{C}\n1e-07,1e-12,mass-prop,freq,0.95\n"
+     "1e-06,1e-12,mass-prop,freq\n", SpectrumFormatError,
+     "{path}:3: expected 5 fields, got 4"),
+    ("field-count-before-coupling", f"{C}\n1e-07,1e-12\n1e-06,1e-12,proton,chi2,0.95\n",
+     SpectrumFormatError, "{path}:2: expected 5 fields, got 2"),
+]
+
+
+@pytest.mark.parametrize("text,exc_type,message", [case[1:] for case in CURVE_ERRORS],
+                         ids=[case[0] for case in CURVE_ERRORS])
+def test_load_curves_error_messages(tmp_path, text, exc_type, message):
+    _expect(_csv(tmp_path, text), exc_type, message, load_curves)
+
+
+@pytest.mark.parametrize("text,groups", [
+    (f"{C}\n", []),
+    (f"\n# a\n{C}\n\n{ROW}\n# between\n  \n1e-06,1e-10,mass-prop,chi2,0.95\n"
+     "1e-07,1e-18,non-mass-prop,chi2,0.95\n# trailing",
+     [(MASS, ((1e-7, 1e-12), (1e-6, 1e-10))), (ELECTRON, ((1e-7, 1e-18),))]),
+    (f"{C}\r\n{ROW}\r\n", [(MASS, ((1e-7, 1e-12),))]),
+], ids=["header-only", "comments-and-blanks-around-rows", "crlf"])
+def test_load_curves_accepts(tmp_path, text, groups):
+    curves = load_curves(_csv(tmp_path, text))
+    assert [(c.coupling, c.points) for c in curves] == groups
+    assert all((c.method, c.confidence) == ("chi2", 0.95) for c in curves)
+
+
+O = OVERLAY_CSV_HEADER
+
+OVERLAY_ERRORS = [
+    ("wrong-header", "r_c_m,lambda\n1e-7,1e-9\n", SpectrumFormatError,
+     "{path}:1: expected header 'r_c_m,lambda_s_inv', got 'r_c_m,lambda'"),
+    ("row-before-header", "# b\n1e-7,1e-9\n", SpectrumFormatError,
+     "{path}:2: expected header 'r_c_m,lambda_s_inv', got '1e-7,1e-9'"),
+    ("too-many-fields", f"{O}\n1e-7,1e-9,3\n", SpectrumFormatError,
+     "{path}:2: expected 2 fields, got 3"),
+    ("non-number", f"{O}\n1e-7,abc\n", SpectrumFormatError,
+     "{path}:2: could not convert string to float: 'abc'"),
+    ("zero-value", f"{O}\n\n# c\n1e-7,0.0\n", ValidationError,
+     "{path}:4: overlay values must be positive"),
+    ("negative-r", f"{O}\n-1e-7,1e-9\n", ValidationError,
+     "{path}:2: overlay values must be positive"),
+    ("unsorted", f"{O}\n1e-6,1e-10\n1e-7,1e-9\n", ValidationError,
+     "{path}:3: overlay rows not ascending in r_c"),
+    ("repeated-r", f"{O}\n1e-7,1e-10\n1e-7,1e-9\n", ValidationError,
+     "{path}:3: overlay rows not ascending in r_c"),
+    # Two faults: each row is checked as it is read, so the first in file
+    # order wins.
+    ("nonpositive-before-field-count", f"{O}\n1e-7,-1\n1e-6\n", ValidationError,
+     "{path}:2: overlay values must be positive"),
+    ("unsorted-before-non-number", f"{O}\n1e-6,1e-10\n1e-7,1e-9\n1e-5,x\n", ValidationError,
+     "{path}:3: overlay rows not ascending in r_c"),
+    ("field-count-before-nonpositive", f"{O}\n1e-7\n1e-6,0\n", SpectrumFormatError,
+     "{path}:2: expected 2 fields, got 1"),
+]
+
+
+@pytest.mark.parametrize("text,exc_type,message", [case[1:] for case in OVERLAY_ERRORS],
+                         ids=[case[0] for case in OVERLAY_ERRORS])
+def test_load_overlay_error_messages(tmp_path, text, exc_type, message):
+    _expect(_csv(tmp_path, text), exc_type, message, load_overlay_boundary)
+
+
+@pytest.mark.parametrize("text,points", [
+    ("", []),
+    ("# only a note\n\n", []),
+    (f"{O}\n", []),
+    (f"\n# a\n{O}\n1e-7,1e-9\n\n# b\n1e-6,1e-10\n# trailing", [(1e-7, 1e-9), (1e-6, 1e-10)]),
+    (f"{O}\r\n1e-7,1e-9\r\n", [(1e-7, 1e-9)]),
+], ids=["empty-file", "comments-only", "header-only", "comments-and-blanks-around-rows",
+        "crlf"])
+def test_load_overlay_accepts(tmp_path, text, points):
+    assert load_overlay_boundary(_csv(tmp_path, text)) == points

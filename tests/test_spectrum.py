@@ -113,6 +113,87 @@ class TestCsv:
         assert load_spectrum(path).bins == bins
 
 
+
+def _csv(tmp_path, text):
+    """Write text byte for byte (no newline translation) to a fresh file."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+H = CSV_HEADER
+
+# (id, file text, exact exception type, exact message with {path} for the file)
+LOAD_ERRORS = [
+    ("wrong-header", "center,width,counts\n15.0,1.0,3\n", SpectrumFormatError,
+     "{path}:1: expected header 'center_keV,width_keV,counts', got 'center,width,counts'"),
+    ("row-before-header", "# note\n\n15.0,1.0,3\n", SpectrumFormatError,
+     "{path}:3: expected header 'center_keV,width_keV,counts', got '15.0,1.0,3'"),
+    ("bom-before-header", f"\ufeff{H}\n15.0,1.0,3\n", SpectrumFormatError,
+     "{path}:1: expected header 'center_keV,width_keV,counts', "
+     "got '\\ufeffcenter_keV,width_keV,counts'"),
+    ("empty-file", "", SpectrumFormatError,
+     "{path}: missing header line 'center_keV,width_keV,counts'"),
+    ("comments-only", "# a note\n\n   \n#center_keV,width_keV,counts\n", SpectrumFormatError,
+     "{path}: missing header line 'center_keV,width_keV,counts'"),
+    ("too-few-fields", f"{H}\n15.0,1.0\n", SpectrumFormatError,
+     "{path}:2: expected 3 fields, got 2"),
+    ("trailing-comma", f"# c\n{H}\n\n15.0,1.0,3,\n", SpectrumFormatError,
+     "{path}:4: expected 3 fields, got 4"),
+    ("form-feed-is-not-a-line-break", f"{H}\n16.0,1.0,3\x0c17,1,3\n", SpectrumFormatError,
+     "{path}:2: expected 3 fields, got 5"),
+    ("non-number", f"{H}\n15.0,one,3\n", SpectrumFormatError,
+     "{path}:2: could not convert string to float: 'one'"),
+    ("repeated-header", f"{H}\n{H}\n", SpectrumFormatError,
+     "{path}:2: could not convert string to float: 'center_keV'"),
+    ("float-counts", f"{H}\n15.0,1.0,1.0\n", SpectrumFormatError,
+     "{path}:2: invalid literal for int() with base 10: '1.0'"),
+    ("empty-counts", f"{H}\n15.0,1.0,\n", SpectrumFormatError,
+     "{path}:2: invalid literal for int() with base 10: ''"),
+    ("cr-line-ends", f"{H}\r15.0,1.0,3\r16,1,x\r", SpectrumFormatError,
+     "{path}:3: invalid literal for int() with base 10: 'x'"),
+    ("negative-counts", f"{H}\n15.0,1.0,-1\n", ValidationError,
+     "bin counts must be non-negative, got -1"),
+    ("out-of-order", f"{H}\n16.0,1.0,3\n15.0,1.0,3\n", ValidationError,
+     "bins out of order: center 15.0 keV after 16.0 keV"),
+    # Two faults: the first in file order wins, and a bin's own check runs
+    # when its row is read, before any later row is parsed.
+    ("bin-fault-before-field-count", f"{H}\n15.0,0.0,3\n16.0,1.0\n", ValidationError,
+     "bin width must be positive, got 0.0"),
+    ("field-count-before-non-number", f"{H}\n15.0,1.0\n16.0,x,3\n", SpectrumFormatError,
+     "{path}:2: expected 3 fields, got 2"),
+    # The spectrum's own checks (order, overlap, widths) run after the
+    # whole file is read, so a later format error is reported first.
+    ("format-before-order", f"{H}\n16.0,1.0,3\n15.0,1.0,3\n17.0,1.0\n", SpectrumFormatError,
+     "{path}:4: expected 3 fields, got 2"),
+]
+
+
+@pytest.mark.parametrize("text,exc_type,message", [case[1:] for case in LOAD_ERRORS],
+                         ids=[case[0] for case in LOAD_ERRORS])
+def test_load_spectrum_error_messages(tmp_path, text, exc_type, message):
+    path = _csv(tmp_path, text)
+    with pytest.raises(ValidationError) as info:
+        load_spectrum(path)
+    assert type(info.value) is exc_type
+    assert str(info.value) == message.replace("{path}", str(path))
+
+
+@pytest.mark.parametrize("text,counts", [
+    (f"{H}\n", []),
+    (f"# preamble\n\n{H}\n", []),
+    (f"\n# a\n{H}\n\n# between\n15.0,1.0,3\n  \n#16.0,1.0,x\n16.0,1.0,0\n# trailing", [3, 0]),
+    (f"{H}\r\n15.0,1.0,3\r\n16.0,1.0,4\r\n", [3, 4]),
+    (f"  {H}  \n  15.0 , 1.0 , 3  \n16.0,1.0,4", [3, 4]),
+], ids=["header-only", "comment-then-header-only", "comments-and-blanks-around-rows",
+        "crlf", "spaces-around-fields"])
+def test_load_spectrum_accepts(tmp_path, text, counts):
+    path = _csv(tmp_path, text)
+    spectrum = load_spectrum(path)
+    assert spectrum.bins == unit_bins(counts)
+    assert spectrum.source_label == str(path)
+
+
 class TestSelect:
     def test_window_and_threshold(self):
         s = BinnedSpectrum(bins=unit_bins([10, 2, 8, 9]))
