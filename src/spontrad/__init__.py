@@ -30,8 +30,7 @@ _EXPORTS = {
                   "dimensionless_coupling", "exposure_factor"),
     "errors": ("InsufficientDataError", "NumericalError", "SelectionEmptyError",
                "SpectrumFormatError", "SpontradError", "ValidationError"),
-    "model": ("CslParams", "alpha_from_lambda", "emission_rate_density", "expected_counts",
-              "lambda_from_alpha"),
+    "model": ("lambda_from_alpha",),
     "scan": ("ExclusionCurve", "ReferencePoint", "builtin_reference_points", "load_curves",
              "load_overlay_boundary", "log_grid", "save_curves", "scan"),
     "spectrum": ("BinnedSpectrum", "EnergyBin", "RangeSelection", "load_spectrum",

@@ -82,14 +82,13 @@ class PosteriorSpec:
 class CredibleLimit:
     """Upper limit on the collapse rate and the count-space quantile behind it.
 
-    lambda_cap_95 is the quantile of the expected total count (the capital
-    Lambda variable) at the requested credibility, whatever that level is;
-    the name records the 95% default use.
+    lambda_cap is the quantile of the expected total count (the capital
+    Lambda variable) at the requested credibility.
     """
 
     lambda_upper: float
     confidence: float
-    lambda_cap_95: float
+    lambda_cap: float
 
     def __post_init__(self):
         if not self.lambda_upper >= 0:
@@ -130,4 +129,4 @@ def lambda_credible_limit(spec: PosteriorSpec, confidence: float) -> CredibleLim
     cap = gamma_quantile(shape, target)
     lam = (cap - 1.0) / (spec.conversion * spec.harmonic_sum)
     return CredibleLimit(lambda_upper=max(lam, 0.0), confidence=confidence,
-                         lambda_cap_95=cap)
+                         lambda_cap=cap)

@@ -214,11 +214,12 @@ def cmd_scan(args) -> int:
     curves = [scan(payload(coupling)["lambda_upper_s_inv"], args.r_c, grid,
                    coupling, args.method, args.cl)
               for coupling in CouplingMode]
+    # Read before anything is written, so a bad overlay leaves no --out file.
+    overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
     save_curves(curves, args.out)
     if args.svg:
         from .svg import save_exclusion_svg
 
-        overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
         save_exclusion_svg(args.svg, curves,
                            references=builtin_reference_points(), overlay=overlay,
                            title="collapse-rate exclusion from X-ray emission")

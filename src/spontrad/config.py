@@ -50,8 +50,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 
 def load_config(path) -> dict:
     """Read and parse a config file; OSError propagates to the caller."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), origin=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return parse_config_text(text, origin=str(path))
 
 
 def constants_from(values: dict) -> PhysicalConstants:

@@ -12,10 +12,12 @@ grid span mirrors customary plots rather than a derived applicability bound.
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .constants import METHODS, CouplingMode
-from .errors import SpectrumFormatError, ValidationError
-from .spectrum import check_grid_size
+from .errors import ValidationError
+from .spectrum import check_grid_size, csv_rows, headed_csv_rows
 
 CURVE_CSV_HEADER = "r_c_m,lambda_limit_s_inv,coupling,method,confidence"
 OVERLAY_CSV_HEADER = "r_c_m,lambda_s_inv"
@@ -143,54 +145,25 @@ def save_curves(curves, path) -> None:
         fh.write(format_curves(curves))
 
 
+def _curve_fields(fields):
+    point = float(fields[0]), float(fields[1])
+    return (CouplingMode.from_label(fields[2]), fields[3], float(fields[4])), point
+
+
 def load_curves(path) -> list:
     """Read a curve CSV back into ExclusionCurve objects.
 
     Rows are grouped into one curve per maximal run of identical
     (coupling, method, confidence); file order is preserved.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    rows = (row for _, row in headed_csv_rows(path, CURVE_CSV_HEADER, 5, _curve_fields))
+    return [ExclusionCurve(coupling=coupling, points=[point for _, point in group],
+                           method=method, confidence=confidence)
+            for (coupling, method, confidence), group in groupby(rows, key=itemgetter(0))]
 
-    curves = []
-    group_key = None
-    points = []
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != CURVE_CSV_HEADER:
-                raise SpectrumFormatError(
-                    f"{path}:{lineno}: expected header {CURVE_CSV_HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise SpectrumFormatError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-        try:
-            r = float(fields[0])
-            lam = float(fields[1])
-            coupling = CouplingMode.from_label(fields[2])
-            method = fields[3]
-            confidence = float(fields[4])
-        except ValueError as exc:
-            raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from None
-        key = (coupling, method, confidence)
-        if key != group_key:
-            if points:
-                curves.append(ExclusionCurve(coupling=group_key[0], points=tuple(points),
-                                             method=group_key[1], confidence=group_key[2]))
-            group_key = key
-            points = []
-        points.append((r, lam))
-    if not header_seen:
-        raise SpectrumFormatError(f"{path}: missing header line {CURVE_CSV_HEADER!r}")
-    if points:
-        curves.append(ExclusionCurve(coupling=group_key[0], points=tuple(points),
-                                     method=group_key[1], confidence=group_key[2]))
-    return curves
+
+def _overlay_fields(fields):
+    return float(fields[0]), float(fields[1])
 
 
 def load_overlay_boundary(path) -> list:
@@ -199,29 +172,10 @@ def load_overlay_boundary(path) -> list:
     An empty file (or header-only file) is a valid, empty overlay.  No
     computation is performed on the values beyond positivity and ordering.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-
+    rows = csv_rows(path, OVERLAY_CSV_HEADER, 2, _overlay_fields)
+    next(rows, None)  # the header line, if any; a file without one is empty
     points = []
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != OVERLAY_CSV_HEADER:
-                raise SpectrumFormatError(
-                    f"{path}:{lineno}: expected header {OVERLAY_CSV_HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise SpectrumFormatError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
-        try:
-            r = float(fields[0])
-            lam = float(fields[1])
-        except ValueError as exc:
-            raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (r, lam) in rows:
         if not (r > 0 and lam > 0):
             raise ValidationError(f"{path}:{lineno}: overlay values must be positive")
         if points and not r > points[-1][0]:

@@ -3,6 +3,7 @@
 CSV schema: header ``center_keV,width_keV,counts``, one row per bin,
 ``#``-prefixed comment lines allowed anywhere, plain decimal numbers.
 Exposure metadata travels outside the CSV (CLI config sidecar keys).
+``csv_rows`` is the grammar shared with the curve and overlay files.
 """
 
 import math
@@ -61,13 +62,12 @@ class EnergyBin:
 
 @dataclass(frozen=True)
 class BinnedSpectrum:
-    """Ordered, uniform-width, non-overlapping bins plus exposure metadata.
+    """Ordered, uniform-width, non-overlapping bins and where they came from.
 
     Immutable after construction; safe to share across threads.
     """
 
     bins: tuple
-    exposure_kg_day: float = 0.0
     source_label: str = ""
 
     def __post_init__(self):
@@ -101,40 +101,66 @@ class RangeSelection:
             raise ValidationError(f"min_counts must be >= 0, got {self.min_counts}")
 
 
-def load_spectrum(path, exposure_kg_day: float = 0.0,
-                  source_label: str = "") -> BinnedSpectrum:
-    """Read and validate a spectrum CSV. Raises SpectrumFormatError on
-    malformed rows, ValidationError on invariant breaches, OSError on I/O."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+def csv_rows(path, header: str, n_fields: int, convert):
+    """Parse a CSV file row by row, in file order, as the rows are asked for.
 
-    bins = []
+    The one grammar of spontrad's CSV files: UTF-8 text, blank and ``#``
+    lines skipped anywhere, then the exact ``header`` line, then rows of
+    ``n_fields`` comma-separated fields, each turned into a value by
+    ``convert(fields)``.  Yields the header's line number first, then
+    (lineno, value) per row; a file with no header line (empty, or only
+    blank and ``#`` lines) yields nothing, and the caller decides what that
+    means.  Format errors and a ValueError from ``convert`` raise
+    SpectrumFormatError naming the file and line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpectrumFormatError(f"{path}: {exc}") from None
     header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
+    # Read in text mode, so \r\n and \r ends are already \n.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if not header_seen:
-            if line != CSV_HEADER:
+            if line != header:
                 raise SpectrumFormatError(
-                    f"{path}:{lineno}: expected header {CSV_HEADER!r}, got {line!r}")
+                    f"{path}:{lineno}: expected header {header!r}, got {line!r}")
             header_seen = True
+            yield lineno
             continue
         fields = line.split(",")
-        if len(fields) != 3:
-            raise SpectrumFormatError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        if len(fields) != n_fields:
+            raise SpectrumFormatError(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
         try:
-            center = float(fields[0])
-            width = float(fields[1])
-            counts = int(fields[2])
+            value = convert(fields)
         except ValueError as exc:
             raise SpectrumFormatError(f"{path}:{lineno}: {exc}") from None
-        bins.append(EnergyBin(center=center, width=width, counts=counts))
-    if not header_seen:
-        raise SpectrumFormatError(f"{path}: missing header line {CSV_HEADER!r}")
+        yield lineno, value
 
-    return BinnedSpectrum(bins=tuple(bins), exposure_kg_day=exposure_kg_day,
-                          source_label=source_label or str(path))
+
+def headed_csv_rows(path, header: str, n_fields: int, convert):
+    """csv_rows after the header line, for a format that requires one."""
+    rows = csv_rows(path, header, n_fields, convert)
+    if next(rows, None) is None:
+        raise SpectrumFormatError(f"{path}: missing header line {header!r}")
+    return rows
+
+
+def _bin_fields(fields):
+    return float(fields[0]), float(fields[1]), int(fields[2])
+
+
+def load_spectrum(path, source_label: str = "") -> BinnedSpectrum:
+    """Read and validate a spectrum CSV. Raises SpectrumFormatError on
+    malformed rows, ValidationError on invariant breaches, OSError on I/O."""
+    rows = headed_csv_rows(path, CSV_HEADER, 3, _bin_fields)
+    bins = tuple(EnergyBin(center=center, width=width, counts=counts)
+                 for _, (center, width, counts) in rows)
+    return BinnedSpectrum(bins=bins, source_label=source_label or str(path))
 
 
 def format_spectrum(spectrum: BinnedSpectrum) -> str:

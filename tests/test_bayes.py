@@ -151,13 +151,13 @@ class TestCredibleLimit:
     def test_published_scale_mass_proportional(self):
         limit = lambda_credible_limit(self.spec(), 0.95)
         assert limit.lambda_upper == pytest.approx(LAM_BAYES_MASS, rel=1e-12)
-        assert limit.lambda_cap_95 == pytest.approx(150.37735517848108, rel=1e-10)
+        assert limit.lambda_cap == pytest.approx(150.37735517848108, rel=1e-10)
 
     def test_zero_count_closed_form(self):
         # Shape-1 truncated posterior: Lambda* = 1 - log(1 - q).
         limit = lambda_credible_limit(self.spec(y=0, conversion=1.0, s=1.0), 0.95)
         expected_cap = 1.0 - math.log(0.05)
-        assert limit.lambda_cap_95 == pytest.approx(expected_cap, rel=1e-10)
+        assert limit.lambda_cap == pytest.approx(expected_cap, rel=1e-10)
         assert limit.lambda_upper == pytest.approx(expected_cap - 1.0, rel=1e-10)
 
     def test_monotone_in_confidence(self):
@@ -220,7 +220,7 @@ class TestCredibleLimit:
         limit = lambda_credible_limit(self.spec(y=y, conversion=1.0, s=1.0), 0.95)
         s = y + 1.0
         base = reg_inc_gamma(s, 1.0)
-        mass, err = integrate.quad(gamma_density(s), 1.0, limit.lambda_cap_95,
+        mass, err = integrate.quad(gamma_density(s), 1.0, limit.lambda_cap,
                                    points=[max(s, 2.0)], limit=200)
         assert err < 1e-9
         assert mass / (1.0 - base) == pytest.approx(0.95, abs=1e-8)
@@ -233,6 +233,6 @@ class TestCredibleLimit:
 
     def test_result_type_validation(self):
         with pytest.raises(ValidationError):
-            CredibleLimit(lambda_upper=-1.0, confidence=0.95, lambda_cap_95=1.0)
+            CredibleLimit(lambda_upper=-1.0, confidence=0.95, lambda_cap=1.0)
         with pytest.raises(ValidationError):
-            CredibleLimit(lambda_upper=1.0, confidence=1.5, lambda_cap_95=1.0)
+            CredibleLimit(lambda_upper=1.0, confidence=1.5, lambda_cap=1.0)

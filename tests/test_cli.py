@@ -203,6 +203,25 @@ class TestExitCodes:
         jsonschema.validate(r.error, schemas["error"])
         assert r.error["error"]["type"] == "io"
 
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--input", "{bad}"),
+        ("limit", "--input", "{bad}"),
+        ("limit", "--y-total", 130, "--bins", "15:48:1", "--config", "{bad}"),
+        ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
+         "--out", "{tmp}/c.csv", "--svg", "{tmp}/p.svg", "--overlay", "{bad}"),
+    ], ids=["fit-input", "limit-input", "limit-config", "scan-overlay"])
+    def test_non_utf8_file_exits_2(self, run_cli, schemas, tmp_path, argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# \xff\n")
+        argv = [str(a).format(bad=bad, tmp=tmp_path) for a in argv]
+        r = run_cli(*argv)
+        assert r.code == 2
+        assert r.out == ""
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error == {"error": {"type": "validation", "message": (
+            f"{bad}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte")}}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
     def test_numerical_failure_exits_4(self, run_cli, schemas, monkeypatch):
         def explode(spec, confidence):
             raise NumericalError("quantile inversion did not converge")
@@ -394,6 +413,31 @@ class TestScan:
         jsonschema.validate(r.error, schemas["error"])
         assert "--overlay" in r.error["error"]["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("r_c_m,lambda_s_inv\n1e-8,0\n", "{path}:2: overlay values must be positive"),
+        ("r_c_m,lambda_s_inv\n1e-8\n", "{path}:2: expected 2 fields, got 1"),
+    ], ids=["nonpositive", "field-count"])
+    def test_bad_overlay_writes_nothing(self, run_cli, tmp_path, schemas, text, message):
+        overlay = tmp_path / "bad.csv"
+        overlay.write_text(text)
+        out, svg = tmp_path / "c.csv", tmp_path / "p.svg"
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--out", out,
+                    "--svg", svg, "--overlay", overlay)
+        assert r.code == 2
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"]["message"] == message.replace("{path}", str(overlay))
+        assert not out.exists()
+        assert not svg.exists()
+
+    def test_missing_overlay_writes_nothing(self, run_cli, tmp_path, schemas):
+        out, svg = tmp_path / "c.csv", tmp_path / "p.svg"
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--out", out,
+                    "--svg", svg, "--overlay", tmp_path / "absent.csv")
+        assert r.code == 3
+        jsonschema.validate(r.error, schemas["error"])
+        assert not out.exists()
+        assert not svg.exists()
 
     def test_input_spectrum_is_loaded_once(self, run_cli, tmp_path, data_dir, monkeypatch):
         loads = []

@@ -68,6 +68,15 @@ class TestLoad:
         with pytest.raises(OSError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_non_utf8_file_is_a_validation_error(self, tmp_path):
+        path = tmp_path / "override.cfg"
+        path.write_bytes(b"exposure_kg_day = 4\xff\n")
+        with pytest.raises(ValidationError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 19: "
+            "invalid start byte")
+
     def test_error_names_file(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("what\n")

@@ -1,104 +1,66 @@
-"""Emission-rate model and the amplitude/rate conversion."""
+"""The amplitude -> collapse-rate conversion of the chi2 route."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spontrad.constants import CouplingMode, exposure_factor, IGEX_EXPOSURE
+from spontrad.constants import (CouplingMode, IGEX_EXPOSURE, coupling_mass_energy,
+                                dimensionless_coupling, exposure_factor)
 from spontrad.errors import ValidationError
-from spontrad.model import (CslParams, alpha_from_lambda, emission_rate_density,
-                            expected_counts, lambda_from_alpha)
-from spontrad.spectrum import EnergyBin
+from spontrad.model import lambda_from_alpha
 
 C_EXP = exposure_factor(IGEX_EXPOSURE)
+MASS = CouplingMode.MASS_PROPORTIONAL
+ELECTRON = CouplingMode.NON_MASS_PROPORTIONAL
 
-finite_rates = st.floats(min_value=1e-20, max_value=1e-5, allow_nan=False,
-                         allow_infinity=False)
+amplitudes = st.floats(min_value=1e-3, max_value=1e9, allow_nan=False,
+                       allow_infinity=False)
 lengths = st.floats(min_value=1e-9, max_value=1e-3, allow_nan=False,
                     allow_infinity=False)
 
 
-def mass_prop(lam, r_c=1e-7):
-    return CslParams(lam=lam, r_c=r_c, coupling=CouplingMode.MASS_PROPORTIONAL)
-
-
-def test_density_inverse_in_energy():
-    params = mass_prop(1e-12)
-    # The 1/E shape makes the density at E exactly twice that at 2E.
-    assert emission_rate_density(12.0, params) == 2.0 * emission_rate_density(24.0, params)
-
-
-def test_density_linear_in_rate():
-    assert (emission_rate_density(20.0, mass_prop(4e-12))
-            == 4.0 * emission_rate_density(20.0, mass_prop(1e-12)))
-
-
-def test_density_positive_energy_required():
-    with pytest.raises(ValidationError):
-        emission_rate_density(0.0, mass_prop(1e-12))
-
-
-def test_alpha_reference_value():
-    # c * lam * D at the published exposure: 1.7190144e33 * 8.097e-12 * D(m_p).
-    alpha = alpha_from_lambda(mass_prop(8.097029465934479e-12), C_EXP)
-    assert alpha == pytest.approx(143.0, rel=1e-12)
-
-
-def test_alpha_lambda_round_trip():
-    lam = 3.7e-13
-    alpha = alpha_from_lambda(mass_prop(lam), C_EXP)
-    back = lambda_from_alpha(alpha, 1e-7, CouplingMode.MASS_PROPORTIONAL, C_EXP)
-    assert back == pytest.approx(lam, rel=1e-14)
+def test_reference_value():
+    # 143 counts keV at the published exposure, r_C = 1e-7 m, proton mass.
+    assert lambda_from_alpha(143.0, 1e-7, MASS, C_EXP) == 8.097029465934479e-12
 
 
 @settings(max_examples=100, deadline=None)
-@given(lam=finite_rates, r_c=lengths)
-def test_round_trip_property(lam, r_c):
+@given(alpha=amplitudes, r_c=lengths)
+def test_inverts_c_lambda_d(alpha, r_c):
+    # alpha = c * lambda * D for both couplings.
     for coupling in CouplingMode:
-        alpha = alpha_from_lambda(CslParams(lam=lam, r_c=r_c, coupling=coupling), C_EXP)
-        back = lambda_from_alpha(alpha, r_c, coupling, C_EXP)
-        assert back == pytest.approx(lam, rel=1e-12)
+        lam = lambda_from_alpha(alpha, r_c, coupling, C_EXP)
+        d = dimensionless_coupling(coupling_mass_energy(coupling), r_c)
+        assert C_EXP * lam * d == pytest.approx(alpha, rel=1e-12)
+
+
+def test_linear_in_alpha():
+    assert (lambda_from_alpha(4.0 * 37.0, 1e-7, MASS, C_EXP)
+            == 4.0 * lambda_from_alpha(37.0, 1e-7, MASS, C_EXP))
+    assert lambda_from_alpha(0.0, 1e-7, MASS, C_EXP) == 0.0
 
 
 def test_r_c_quadratic_scaling_exact_for_binary_factors():
-    lam = 1e-12
-    a1 = alpha_from_lambda(mass_prop(lam, r_c=1e-7), C_EXP)
-    a2 = alpha_from_lambda(mass_prop(lam, r_c=2e-7), C_EXP)
-    assert a2 == a1 / 4.0
+    lam1 = lambda_from_alpha(143.0, 1e-7, MASS, C_EXP)
+    lam2 = lambda_from_alpha(143.0, 2e-7, MASS, C_EXP)
+    assert lam2 == 4.0 * lam1
 
 
-def test_coupling_changes_alpha_by_mass_ratio_squared():
-    lam = 1e-12
-    a_p = alpha_from_lambda(mass_prop(lam), C_EXP)
-    a_e = alpha_from_lambda(
-        CslParams(lam=lam, r_c=1e-7, coupling=CouplingMode.NON_MASS_PROPORTIONAL),
-        C_EXP)
-    assert a_e / a_p == pytest.approx((938.27208816 / 0.51099895) ** 2, rel=1e-12)
+def test_coupling_changes_lambda_by_mass_ratio_squared():
+    lam_p = lambda_from_alpha(143.0, 1e-7, MASS, C_EXP)
+    lam_e = lambda_from_alpha(143.0, 1e-7, ELECTRON, C_EXP)
+    assert lam_p / lam_e == pytest.approx((938.27208816 / 0.51099895) ** 2, rel=1e-12)
 
 
-def test_expected_counts_shape():
-    bins = [EnergyBin(center=10.0, width=1.0, counts=0),
-            EnergyBin(center=20.0, width=1.0, counts=0)]
-    lam = lambda_from_alpha(100.0, 1e-7, CouplingMode.MASS_PROPORTIONAL, C_EXP)
-    mu = expected_counts(mass_prop(lam), C_EXP, bins)
-    assert mu[0] == pytest.approx(10.0, rel=1e-12)
-    assert mu[1] == pytest.approx(5.0, rel=1e-12)
-
-
-def test_expected_counts_width_scaling():
-    narrow = [EnergyBin(center=20.0, width=0.5, counts=0)]
-    wide = [EnergyBin(center=20.0, width=2.0, counts=0)]
-    params = mass_prop(1e-12)
-    assert (expected_counts(params, C_EXP, wide)[0]
-            == 4.0 * expected_counts(params, C_EXP, narrow)[0])
-
-
-def test_params_validation():
-    with pytest.raises(ValidationError):
-        CslParams(lam=-1e-12, r_c=1e-7, coupling=CouplingMode.MASS_PROPORTIONAL)
-    with pytest.raises(ValidationError):
-        CslParams(lam=1e-12, r_c=0.0, coupling=CouplingMode.MASS_PROPORTIONAL)
-    with pytest.raises(ValidationError):
-        lambda_from_alpha(-5.0, 1e-7, CouplingMode.MASS_PROPORTIONAL, C_EXP)
-    with pytest.raises(ValidationError):
-        alpha_from_lambda(mass_prop(1e-12), 0.0)
+@pytest.mark.parametrize("alpha,r_c,c_exp,message", [
+    (-5.0, 1e-7, C_EXP, "alpha must be >= 0, got -5.0"),
+    (float("nan"), 1e-7, C_EXP, "alpha must be >= 0, got nan"),
+    (143.0, 1e-7, 0.0, "exposure factor must be positive, got 0.0"),
+    (143.0, 0.0, C_EXP, "r_c must be positive, got 0.0"),
+    (143.0, 1e-300, C_EXP, "conversion must be positive and finite, got inf"),
+    (143.0, float("inf"), C_EXP, "conversion must be positive and finite, got 0.0"),
+])
+def test_validation(alpha, r_c, c_exp, message):
+    with pytest.raises(ValidationError) as info:
+        lambda_from_alpha(alpha, r_c, MASS, c_exp)
+    assert str(info.value) == message

@@ -301,3 +301,13 @@ def test_load_overlay_error_messages(tmp_path, text, exc_type, message):
         "crlf"])
 def test_load_overlay_accepts(tmp_path, text, points):
     assert load_overlay_boundary(_csv(tmp_path, text)) == points
+
+
+@pytest.mark.parametrize("load,header", [(load_curves, C), (load_overlay_boundary, O)],
+                         ids=["curves", "overlay"])
+def test_non_utf8_file_is_a_format_error(tmp_path, load, header):
+    path = _csv(tmp_path, "")
+    path.write_bytes(header.encode() + b"\n\xff\n")
+    _expect(path, SpectrumFormatError,
+            "{path}: 'utf-8' codec can't decode byte 0xff in position "
+            f"{len(header) + 1}: invalid start byte", load)

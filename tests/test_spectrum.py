@@ -194,6 +194,15 @@ def test_load_spectrum_accepts(tmp_path, text, counts):
     assert spectrum.source_label == str(path)
 
 
+def test_non_utf8_file_is_a_format_error(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(f"{H}\n15.0,1.0,3\n".encode() + b"16.0,1.0,\xff\n")
+    with pytest.raises(SpectrumFormatError) as info:
+        load_spectrum(path)
+    assert str(info.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 48: invalid start byte")
+
+
 class TestSelect:
     def test_window_and_threshold(self):
         s = BinnedSpectrum(bins=unit_bins([10, 2, 8, 9]))
@@ -211,10 +220,8 @@ class TestSelect:
             select(s, RangeSelection(e_min=100.0, e_max=200.0))
 
     def test_metadata_preserved(self):
-        s = BinnedSpectrum(bins=unit_bins([5, 6]), exposure_kg_day=80.0,
-                           source_label="igex")
+        s = BinnedSpectrum(bins=unit_bins([5, 6]), source_label="igex")
         out = select(s, RangeSelection(e_min=14.0, e_max=20.0))
-        assert out.exposure_kg_day == 80.0
         assert out.source_label == "igex"
 
     def test_selection_validation(self):
