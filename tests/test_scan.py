@@ -306,7 +306,7 @@ def test_load_overlay_accepts(tmp_path, text, points):
 @pytest.mark.parametrize("load,header", [(load_curves, C), (load_overlay_boundary, O)],
                          ids=["curves", "overlay"])
 def test_non_utf8_file_is_a_format_error(tmp_path, load, header):
-    path = _csv(tmp_path, "")
+    path = tmp_path / "f.csv"
     path.write_bytes(header.encode() + b"\n\xff\n")
     _expect(path, SpectrumFormatError,
             "{path}: 'utf-8' codec can't decode byte 0xff in position "
