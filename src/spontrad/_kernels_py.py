@@ -209,7 +209,11 @@ def normal_quantile(p):
     # precision; with x <= 0 the CDF value is a direct small erfc, so the
     # residual is computed without cancellation.
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * _SQRT_TWO_PI * math.exp(0.5 * x * x)
+    try:
+        u = err * _SQRT_TWO_PI * math.exp(0.5 * x * x)
+    except OverflowError:  # p below about 1e-315: exp(x*x/2) is beyond the floats
+        half = math.exp(0.25 * x * x)
+        u = err * _SQRT_TWO_PI * half * half
     x = x - u / (1.0 + 0.5 * x * u)
     return -x if flip else x
 

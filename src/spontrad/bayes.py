@@ -15,8 +15,7 @@ import operator
 from dataclasses import dataclass
 
 from .backend import kernels
-from .constants import (CODATA2018, ExposureConfig, IGEX_EXPOSURE,
-                        PhysicalConstants, coupling_mass_energy,
+from .constants import (ExposureConfig, IGEX_EXPOSURE, coupling_mass_energy,
                         dimensionless_coupling, exposure_factor)
 from .errors import NumericalError, ValidationError
 
@@ -98,12 +97,10 @@ class CredibleLimit:
 
 
 def posterior_spec(y_total: int, bins, r_c: float, coupling,
-                   exposure: ExposureConfig = IGEX_EXPOSURE,
-                   constants: PhysicalConstants = CODATA2018) -> PosteriorSpec:
+                   exposure: ExposureConfig = IGEX_EXPOSURE) -> PosteriorSpec:
     """Assemble the posterior inputs for a measured total count and bin grid."""
     conversion = (exposure_factor(exposure)
-                  * dimensionless_coupling(coupling_mass_energy(coupling, constants),
-                                           r_c, constants))
+                  * dimensionless_coupling(coupling_mass_energy(coupling), r_c))
     return PosteriorSpec(y_total=y_total, harmonic_sum=harmonic_sum(bins),
                          conversion=conversion)
 

@@ -76,10 +76,17 @@ def closed_form(pairs) -> tuple:
     fit_counts checks the bins first, and a coverage trial keeps two or
     more bins, each of at least synth.CHI2_MIN_COUNTS counts.  A weight
     that overflows to inf gives sigma_alpha 0, which raises the error a
-    FitResult raises for it.
+    FitResult raises for it; a weight whose divisor y*E^2 underflows to 0
+    raises a ValidationError naming its bin.
     """
     sum_inv_e = math.fsum(1.0 / e for e, _ in pairs)
-    sum_w = math.fsum(1.0 / (y * e * e) for e, y in pairs)
+    try:
+        sum_w = math.fsum(1.0 / (y * e * e) for e, y in pairs)
+    except ZeroDivisionError:
+        e, y = next((e, y) for e, y in pairs if y * e * e == 0)
+        raise ValidationError(
+            f"bin at {e} keV with {y} counts: its fit weight 1/(counts * E^2) "
+            "is beyond the float range") from None
     alpha_hat = sum_inv_e / sum_w
     sigma_alpha = sum_w ** -0.5
     _check_sigma(sigma_alpha)

@@ -69,17 +69,15 @@ def _parse_grid(spec: str) -> list:
 
 
 def _physics_inputs(args):
-    """Constants and exposure: defaults <- config file <- dedicated flags."""
-    from .config import constants_from, exposure_from, load_config
+    """The exposure: defaults <- config file <- dedicated flags."""
+    from .config import exposure_from, load_config
 
-    values = load_config(args.config) if args.config else {}
-    constants = constants_from(values)
-    exposure = exposure_from(values)
-    if getattr(args, "exposure_kg_day", None) is not None:
+    exposure = exposure_from(load_config(args.config) if args.config else {})
+    if args.exposure_kg_day is not None:
         exposure = replace(exposure, exposure_kg_day=args.exposure_kg_day)
-    if getattr(args, "electrons_per_atom", None) is not None:
+    if args.electrons_per_atom is not None:
         exposure = replace(exposure, electrons_per_atom=args.electrons_per_atom)
-    return constants, exposure
+    return exposure
 
 
 def _emit_text(args, text: str) -> None:
@@ -131,7 +129,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _limit_route(args, constants, exposure):
+def _limit_route(args, exposure):
     """Check the limit flags and read, select or fit the input once.
 
     Returns payload(coupling): the limit JSON for one coupling, so a scan
@@ -154,8 +152,7 @@ def _limit_route(args, constants, exposure):
             raise ValidationError("bayes limit needs --input or --y-total with --bins")
 
         def bayes_payload(coupling: CouplingMode) -> dict:
-            spec = posterior_spec(y, bins, args.r_c, coupling,
-                                  exposure=exposure, constants=constants)
+            spec = posterior_spec(y, bins, args.r_c, coupling, exposure=exposure)
             limit = lambda_credible_limit(spec, args.cl)
             return {
                 "lambda_upper_s_inv": limit.lambda_upper,
@@ -183,8 +180,7 @@ def _limit_route(args, constants, exposure):
     from .model import lambda_from_alpha
 
     def chi2_payload(coupling: CouplingMode) -> dict:
-        lam = lambda_from_alpha(alpha_upper, args.r_c, coupling,
-                                exposure_factor(exposure), constants)
+        lam = lambda_from_alpha(alpha_upper, args.r_c, coupling, exposure_factor(exposure))
         return {
             "lambda_upper_s_inv": lam,
             "confidence": args.cl,
@@ -197,9 +193,9 @@ def _limit_route(args, constants, exposure):
 
 
 def cmd_limit(args) -> int:
-    constants, exposure = _physics_inputs(args)
+    exposure = _physics_inputs(args)
     coupling = CouplingMode.from_label(args.coupling)
-    _emit_json(args, _limit_route(args, constants, exposure)(coupling))
+    _emit_json(args, _limit_route(args, exposure)(coupling))
     return 0
 
 
@@ -208,9 +204,9 @@ def cmd_scan(args) -> int:
 
     if args.overlay and not args.svg:
         raise ValidationError("--overlay is drawn on the --svg plot; give --svg too")
-    constants, exposure = _physics_inputs(args)
+    exposure = _physics_inputs(args)
     grid = _parse_grid(args.grid)
-    payload = _limit_route(args, constants, exposure)
+    payload = _limit_route(args, exposure)
     curves = [scan(payload(coupling)["lambda_upper_s_inv"], args.r_c, grid,
                    coupling, args.method, args.cl)
               for coupling in CouplingMode]
@@ -273,7 +269,7 @@ def _add_window_flags(parser, default_min_counts=None):
 
 
 def _add_physics_flags(parser):
-    parser.add_argument("--config", help="key=value file overriding constants/exposure")
+    parser.add_argument("--config", help="key=value file overriding the exposure")
     parser.add_argument("--exposure-kg-day", type=float, default=None,
                         help="override the exposure mass-time product")
     parser.add_argument("--electrons-per-atom", type=float, default=None,

@@ -1,21 +1,18 @@
-"""Flat key=value config files overriding physical inputs.
+"""Flat key=value config files setting the detector exposure.
 
-Every physical number entering a limit is auditable here: constants
-(fine_structure_constant, hbar_c_mev_fm, proton_mass_mev, electron_mass_mev,
-avogadro) and exposure factors (atoms_per_kg, exposure_kg_day,
-seconds_per_day, electrons_per_atom).  Command-line flags override file
-values; file values override built-in defaults.  Unknown or duplicate keys
-are errors, silent typos are not tolerated.
+The exposure factors (atoms_per_kg, exposure_kg_day, electrons_per_atom)
+are the only physical inputs a user sets; the physical constants are the
+fixed CODATA 2018 values.  Command-line flags override file values; file
+values override built-in defaults.  Unknown or duplicate keys are errors,
+silent typos are not tolerated.
 """
 
 from dataclasses import fields, replace
 
-from .constants import CODATA2018, ExposureConfig, IGEX_EXPOSURE, PhysicalConstants
+from .constants import ExposureConfig, IGEX_EXPOSURE
 from .errors import ValidationError
 
-CONSTANT_KEYS = tuple(f.name for f in fields(PhysicalConstants))
-EXPOSURE_KEYS = tuple(f.name for f in fields(ExposureConfig))
-KNOWN_KEYS = CONSTANT_KEYS + EXPOSURE_KEYS
+KNOWN_KEYS = tuple(f.name for f in fields(ExposureConfig))
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -49,22 +46,16 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
 
 
 def load_config(path) -> dict:
-    """Read and parse a config file; OSError propagates to the caller."""
+    """Read and parse a config file (UTF-8, with or without a byte-order
+    mark); OSError propagates to the caller."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return parse_config_text(text, origin=str(path))
 
 
-def constants_from(values: dict) -> PhysicalConstants:
-    """Defaults overridden by any constant keys present; invariants re-checked."""
-    overrides = {k: v for k, v in values.items() if k in CONSTANT_KEYS}
-    return replace(CODATA2018, **overrides) if overrides else CODATA2018
-
-
 def exposure_from(values: dict) -> ExposureConfig:
-    """Defaults overridden by any exposure keys present; invariants re-checked."""
-    overrides = {k: v for k, v in values.items() if k in EXPOSURE_KEYS}
-    return replace(IGEX_EXPOSURE, **overrides) if overrides else IGEX_EXPOSURE
+    """Defaults overridden by the parsed keys; invariants re-checked."""
+    return replace(IGEX_EXPOSURE, **values) if values else IGEX_EXPOSURE

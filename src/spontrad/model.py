@@ -8,21 +8,18 @@ at energy E being alpha / E.
 
 import math
 
-from .constants import (CODATA2018, CouplingMode, PhysicalConstants,
-                        coupling_mass_energy, dimensionless_coupling)
+from .constants import CouplingMode, coupling_mass_energy, dimensionless_coupling
 from .errors import ValidationError
 
 
 def lambda_from_alpha(alpha: float, r_c: float, coupling: CouplingMode,
-                      c_exp: float,
-                      constants: PhysicalConstants = CODATA2018) -> float:
+                      c_exp: float) -> float:
     """Collapse rate (1/s) reproducing the fit amplitude alpha: alpha / (c_exp * D)."""
     if not alpha >= 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     if not c_exp > 0:
         raise ValidationError(f"exposure factor must be positive, got {c_exp}")
-    mass = coupling_mass_energy(coupling, constants)
-    conversion = c_exp * dimensionless_coupling(mass, r_c, constants)
+    conversion = c_exp * dimensionless_coupling(coupling_mass_energy(coupling), r_c)
     if not (conversion > 0 and math.isfinite(conversion)):
         raise ValidationError(f"conversion must be positive and finite, got {conversion}")
     return alpha / conversion

@@ -104,7 +104,8 @@ class RangeSelection:
 def csv_rows(path, header: str, n_fields: int, convert):
     """Parse a CSV file row by row, in file order, as the rows are asked for.
 
-    The one grammar of spontrad's CSV files: UTF-8 text, blank and ``#``
+    The one grammar of spontrad's CSV files: UTF-8 text (a leading
+    byte-order mark, as spreadsheet tools write, is dropped), blank and ``#``
     lines skipped anywhere, then the exact ``header`` line, then rows of
     ``n_fields`` comma-separated fields, each turned into a value by
     ``convert(fields)``.  Yields the header's line number first, then
@@ -114,7 +115,7 @@ def csv_rows(path, header: str, n_fields: int, convert):
     SpectrumFormatError naming the file and line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise SpectrumFormatError(f"{path}: {exc}") from None

@@ -273,8 +273,8 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     harmonic = harmonic_sum(bins)
     # Centers ascend from e_min, so the chi2 window is a prefix of the grid.
     window = centers[:sum(c <= config.e_max for c in centers)]
-    # alpha_upper_limit's normal quantile, taken once for the study.
-    z = normal_quantile(confidence)
+    # alpha_upper_limit's normal quantile, taken once for a chi2 study.
+    z = normal_quantile(confidence) if method == "chi2" else None
 
     def count(start: int, stop: int) -> tuple:
         """(covered, skipped) over trials start..stop-1."""

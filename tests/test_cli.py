@@ -150,6 +150,46 @@ class TestLimit:
         assert r == base
 
 
+BOM = "\ufeff"
+SPECTRUM = "center_keV,width_keV,counts\n15.0,1.0,3\n16.0,1.0,5\n17.0,1.0,4\n"
+# Centers where counts * E^2 underflows to 0.
+TINY_SPECTRUM = "center_keV,width_keV,counts\n1e-300,1e-300,6\n2e-300,1e-300,7\n"
+TINY_MESSAGE = ("bin at 1e-300 keV with 6 counts: its fit weight 1/(counts * E^2) "
+                "is beyond the float range")
+REMOVED_KEYS = ("fine_structure_constant", "hbar_c_mev_fm", "proton_mass_mev",
+                "electron_mass_mev", "avogadro", "seconds_per_day")
+LIMIT_SHORTCUT = ("limit", "--y-total", 130, "--bins", "15:48:1")
+TINY_CL = ("--cl", 1e-320)
+
+# (id, input files written to tmp, argv with {tmp}, exit code, message of a failure)
+EDGE_CASES = [
+    *((f"removed-key-{key}", {"in.cfg": f"{key} = 1\n"},
+       (*LIMIT_SHORTCUT, "--config", "{tmp}/in.cfg"), 2,
+       f"{{tmp}}/in.cfg:1: unknown key '{key}'; "
+       "known keys: atoms_per_kg, exposure_kg_day, electrons_per_atom")
+      for key in REMOVED_KEYS),
+    ("bom-config", {"in.cfg": BOM + "electrons_per_atom = 4\n"},
+     (*LIMIT_SHORTCUT, "--config", "{tmp}/in.cfg"), 0, None),
+    ("bom-spectrum", {"in.csv": BOM + SPECTRUM}, ("limit", "--input", "{tmp}/in.csv"), 0, None),
+    ("bom-overlay", {"in.csv": BOM + "r_c_m,lambda_s_inv\n1e-8,1e-12\n"},
+     ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
+      "--svg", "{tmp}/p.svg", "--overlay", "{tmp}/in.csv"), 0, None),
+    ("cl-1e-320-coverage-bayes", {},
+     ("coverage", "--method", "bayes", "--alpha", 115, "--trials", 10, *TINY_CL), 0, None),
+    ("cl-1e-320-coverage-chi2", {},
+     ("coverage", "--method", "chi2", "--alpha", 115, "--trials", 10, *TINY_CL), 0, None),
+    ("cl-1e-320-fit", {"in.csv": SPECTRUM},
+     ("fit", "--input", "{tmp}/in.csv", "--min-counts", 0, *TINY_CL), 0, None),
+    ("cl-1e-320-limit-chi2", {"in.csv": SPECTRUM},
+     ("limit", "--method", "chi2", "--input", "{tmp}/in.csv", "--min-counts", 0, *TINY_CL),
+     2, "alpha must be >= 0, got -624.1709290147433"),
+    ("tiny-centers-fit", {"in.csv": TINY_SPECTRUM},
+     ("fit", "--input", "{tmp}/in.csv", "--emin", 0), 2, TINY_MESSAGE),
+    ("tiny-centers-limit-chi2", {"in.csv": TINY_SPECTRUM},
+     ("limit", "--method", "chi2", "--input", "{tmp}/in.csv", "--emin", 0), 2, TINY_MESSAGE),
+]
+
+
 class TestExitCodes:
     def test_validation_errors_exit_2(self, run_cli, schemas):
         cases = [
@@ -221,6 +261,33 @@ class TestExitCodes:
         assert r.error == {"error": {"type": "validation", "message": (
             f"{bad}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte")}}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    @pytest.mark.parametrize("files,argv,code,message", [case[1:] for case in EDGE_CASES],
+                             ids=[case[0] for case in EDGE_CASES])
+    def test_edge_inputs_exit_0_or_2(self, run_cli, schemas, tmp_path, files, argv, code,
+                                     message):
+        # Removed config keys, files with a byte-order mark, a confidence
+        # near the smallest float and bin centers whose fit weights underflow.
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+        argv = [str(a).format(tmp=tmp_path) for a in (*argv, "--out", "{tmp}/out")]
+        r = run_cli(*argv)
+        assert (r.code, r.out) == (code, "")
+        assert "Traceback" not in r.err
+        if code:
+            jsonschema.validate(r.error, schemas["error"])
+            assert r.error == {"error": {"type": "validation",
+                                         "message": message.format(tmp=tmp_path)}}
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+            return
+        assert r.err == ""
+        if any(text.startswith(BOM) for text in files.values()):
+            # The same run on the files without their mark writes the same bytes.
+            produced = (tmp_path / "out").read_bytes()
+            for name, text in files.items():
+                (tmp_path / name).write_text(text[len(BOM):], encoding="utf-8")
+            assert run_cli(*argv).code == 0
+            assert (tmp_path / "out").read_bytes() == produced
 
     def test_numerical_failure_exits_4(self, run_cli, schemas, monkeypatch):
         def explode(spec, confidence):

@@ -1,19 +1,14 @@
 """Config-file parsing and override plumbing."""
 
-import dataclasses
-
 import pytest
 
 from spontrad.config import (
-    CONSTANT_KEYS,
-    EXPOSURE_KEYS,
     KNOWN_KEYS,
-    constants_from,
     exposure_from,
     load_config,
     parse_config_text,
 )
-from spontrad.constants import CODATA2018, IGEX_EXPOSURE
+from spontrad.constants import IGEX_EXPOSURE
 from spontrad.errors import ValidationError
 
 
@@ -86,35 +81,19 @@ class TestLoad:
 
 class TestOverrides:
     def test_empty_values_give_defaults(self):
-        assert constants_from({}) is CODATA2018
         assert exposure_from({}) is IGEX_EXPOSURE
 
     def test_exposure_override_applies(self):
         ex = exposure_from({"exposure_kg_day": 10.0, "electrons_per_atom": 4.0})
         assert ex.exposure_kg_day == 10.0
         assert ex.electrons_per_atom == 4.0
-        assert ex.seconds_per_day == IGEX_EXPOSURE.seconds_per_day
-
-    def test_constant_override_applies(self):
-        cs = constants_from({"hbar_c_mev_fm": 200.0})
-        assert cs.hbar_c_mev_fm == 200.0
-        assert cs.fine_structure_constant == CODATA2018.fine_structure_constant
-
-    def test_each_selector_ignores_the_other_family(self):
-        assert constants_from({"exposure_kg_day": 5.0}) is CODATA2018
-        assert exposure_from({"hbar_c_mev_fm": 200.0}) is IGEX_EXPOSURE
+        assert ex.atoms_per_kg == IGEX_EXPOSURE.atoms_per_kg
 
     def test_override_revalidates(self):
         with pytest.raises(ValidationError):
             exposure_from({"exposure_kg_day": -1.0})
         with pytest.raises(ValidationError):
             exposure_from({"exposure_kg_day": float("inf")})
-        with pytest.raises(ValidationError):
-            constants_from({"fine_structure_constant": 0.0})
 
-    def test_keys_partition_cleanly(self):
-        assert not set(CONSTANT_KEYS) & set(EXPOSURE_KEYS)
-        assert set(CONSTANT_KEYS) == {f.name for f in
-                                      dataclasses.fields(CODATA2018)}
-        assert set(EXPOSURE_KEYS) == {f.name for f in
-                                      dataclasses.fields(IGEX_EXPOSURE)}
+    def test_keys_are_the_exposure_fields(self):
+        assert KNOWN_KEYS == ("atoms_per_kg", "exposure_kg_day", "electrons_per_atom")

@@ -6,8 +6,8 @@ import pytest
 
 from spontrad.constants import (CODATA2018, CouplingMode, ExposureConfig,
                                 HISTORICAL_LAMBDA_LIMITS, IGEX_EXPOSURE,
-                                PhysicalConstants, coupling_mass_energy,
-                                dimensionless_coupling, exposure_factor)
+                                coupling_mass_energy, dimensionless_coupling,
+                                exposure_factor)
 from spontrad.errors import ValidationError
 
 # High-precision reference evaluations of alpha_fs*(hbar c/(r_C m))^2/pi,
@@ -21,7 +21,6 @@ def test_codata_values():
     assert CODATA2018.hbar_c_mev_fm == 197.3269804
     assert CODATA2018.proton_mass_mev == 938.27208816
     assert CODATA2018.electron_mass_mev == 0.51099895000
-    assert CODATA2018.avogadro == 6.02214076e23
 
 
 def test_coupling_mass_selection():
@@ -64,15 +63,6 @@ def test_dimensionless_coupling_rejects_bad_domain():
         dimensionless_coupling(938.27, 0.0)
 
 
-def test_constants_window_validation():
-    with pytest.raises(ValidationError):
-        PhysicalConstants(fine_structure_constant=7.3e-3)
-    with pytest.raises(ValidationError):
-        PhysicalConstants(proton_mass_mev=1000.0)
-    with pytest.raises(ValidationError):
-        PhysicalConstants(avogadro=-1.0)
-
-
 def test_exposure_factor_is_plain_product():
     assert exposure_factor(IGEX_EXPOSURE) == 8.29e24 * 80.0 * 8.64e4 * 30.0
     assert exposure_factor(IGEX_EXPOSURE) == 1.7190144e33
@@ -81,7 +71,6 @@ def test_exposure_factor_is_plain_product():
 def test_exposure_defaults():
     assert IGEX_EXPOSURE.atoms_per_kg == 8.29e24
     assert IGEX_EXPOSURE.exposure_kg_day == 80.0
-    assert IGEX_EXPOSURE.seconds_per_day == 8.64e4
     assert IGEX_EXPOSURE.electrons_per_atom == 30.0
 
 

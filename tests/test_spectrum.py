@@ -129,9 +129,6 @@ LOAD_ERRORS = [
      "{path}:1: expected header 'center_keV,width_keV,counts', got 'center,width,counts'"),
     ("row-before-header", "# note\n\n15.0,1.0,3\n", SpectrumFormatError,
      "{path}:3: expected header 'center_keV,width_keV,counts', got '15.0,1.0,3'"),
-    ("bom-before-header", f"\ufeff{H}\n15.0,1.0,3\n", SpectrumFormatError,
-     "{path}:1: expected header 'center_keV,width_keV,counts', "
-     "got '\\ufeffcenter_keV,width_keV,counts'"),
     ("empty-file", "", SpectrumFormatError,
      "{path}: missing header line 'center_keV,width_keV,counts'"),
     ("comments-only", "# a note\n\n   \n#center_keV,width_keV,counts\n", SpectrumFormatError,
@@ -185,8 +182,10 @@ def test_load_spectrum_error_messages(tmp_path, text, exc_type, message):
     (f"\n# a\n{H}\n\n# between\n15.0,1.0,3\n  \n#16.0,1.0,x\n16.0,1.0,0\n# trailing", [3, 0]),
     (f"{H}\r\n15.0,1.0,3\r\n16.0,1.0,4\r\n", [3, 4]),
     (f"  {H}  \n  15.0 , 1.0 , 3  \n16.0,1.0,4", [3, 4]),
+    # A UTF-8 byte-order mark, as spreadsheet tools write, is dropped.
+    (f"\ufeff{H}\n15.0,1.0,3\n", [3]),
 ], ids=["header-only", "comment-then-header-only", "comments-and-blanks-around-rows",
-        "crlf", "spaces-around-fields"])
+        "crlf", "spaces-around-fields", "bom-before-header"])
 def test_load_spectrum_accepts(tmp_path, text, counts):
     path = _csv(tmp_path, text)
     spectrum = load_spectrum(path)
