@@ -18,6 +18,7 @@ from .backend import kernels
 from .constants import (ExposureConfig, IGEX_EXPOSURE, coupling_mass_energy,
                         dimensionless_coupling, exposure_factor)
 from .errors import NumericalError, ValidationError
+from .spectrum import check_float_range
 
 
 def reg_inc_gamma(shape: float, x: float) -> float:
@@ -69,6 +70,7 @@ class PosteriorSpec:
         object.__setattr__(self, "y_total", y)
         if y < 0:
             raise ValidationError(f"y_total must be >= 0, got {y}")
+        check_float_range(y, "y_total")
         if not (self.harmonic_sum > 0 and math.isfinite(self.harmonic_sum)):
             raise ValidationError(
                 f"harmonic_sum must be positive and finite, got {self.harmonic_sum}")
@@ -123,6 +125,10 @@ def lambda_credible_limit(spec: PosteriorSpec, confidence: float) -> CredibleLim
         raise NumericalError(
             f"posterior mass entirely below the offset (y={spec.y_total})")
     target = base + confidence * (1.0 - base)
+    if target >= 1.0:
+        raise ValidationError(
+            f"confidence {confidence} is too close to 1 for y_total {spec.y_total}: "
+            "its posterior quantile level rounds to 1.0")
     cap = gamma_quantile(shape, target)
     lam = (cap - 1.0) / (spec.conversion * spec.harmonic_sum)
     return CredibleLimit(lambda_upper=max(lam, 0.0), confidence=confidence,

@@ -74,7 +74,7 @@ def closed_form(pairs) -> tuple:
 
     The two sums of the module docstring, without the input checks:
     fit_counts checks the bins first, and a coverage trial keeps two or
-    more bins, each of at least synth.CHI2_MIN_COUNTS counts.  A weight
+    more bins, each of at least constants.CHI2_MIN_COUNTS counts.  A weight
     that overflows to inf gives sigma_alpha 0, which raises the error a
     FitResult raises for it; a weight whose divisor y*E^2 underflows to 0
     raises a ValidationError naming its bin.

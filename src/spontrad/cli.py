@@ -14,37 +14,39 @@ the chi2 route of limit and scan.  A fit process loads none of them.
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import replace
 
 from .bayes import lambda_credible_limit, posterior_spec
 from .chi2fit import alpha_upper_limit, fit_alpha
-from .constants import METHODS, CouplingMode, exposure_factor
+from .constants import CHI2_MIN_COUNTS, METHODS, CouplingMode, exposure_factor
 from .errors import NumericalError, ValidationError
 from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
                        load_spectrum, save_spectrum, select)
 
 DEFAULT_E_MIN_KEV = 14.5
 DEFAULT_E_MAX_KEV = 48.5
-DEFAULT_MIN_COUNTS = 5
 DEFAULT_R_C_M = 1e-7
 DEFAULT_CONFIDENCE = 0.95
-DEFAULT_GRID_MIN_M = 1e-9
-DEFAULT_GRID_MAX_M = 1e-3
-DEFAULT_GRID_POINTS = 200
+DEFAULT_GRID = "1e-9:1e-3:200"
 # --bins is the grid of the --y-total shortcut; an --input file has its own.
 BINS_WITHOUT_Y_TOTAL = "--bins applies to --method bayes with --y-total only"
 
 
-def _parse_bins(spec: str) -> list:
-    """'lo:hi:width' -> unit-count bins at centers lo, lo+width, ..., hi."""
+def _split_spec(flag: str, spec: str, last: str, last_type=float) -> tuple:
+    """'lo:hi:<last>' -> (float lo, float hi, last_type of the third field)."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValidationError(f"--bins expects lo:hi:width, got {spec!r}")
+        raise ValidationError(f"{flag} expects lo:hi:{last}, got {spec!r}")
     try:
-        lo, hi, width = (float(p) for p in parts)
+        return float(parts[0]), float(parts[1]), last_type(parts[2])
     except ValueError:
-        raise ValidationError(f"--bins values must be numbers, got {spec!r}") from None
+        raise ValidationError(f"{flag} values must be numbers, got {spec!r}") from None
+
+
+def _parse_bins(spec: str) -> list:
+    """'lo:hi:width' -> unit-count bins at centers lo, lo+width, ..., hi."""
+    lo, hi, width = _split_spec("--bins", spec, "width")
     if not all(map(math.isfinite, (lo, hi, width))):
         raise ValidationError(f"--bins values must be finite, got {spec!r}")
     if not width > 0:
@@ -57,99 +59,99 @@ def _parse_bins(spec: str) -> list:
 def _parse_grid(spec: str) -> list:
     """'lo:hi:n' -> n log-spaced correlation lengths from lo to hi meters."""
     from .scan import log_grid
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"--grid expects lo:hi:n, got {spec!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2])
-    except ValueError:
-        raise ValidationError(f"--grid values must be numbers, got {spec!r}") from None
-    return log_grid(lo, hi, n)
+    return log_grid(*_split_spec("--grid", spec, "n", int))
 
 
 def _physics_inputs(args):
     """The exposure: defaults <- config file <- dedicated flags."""
     from .config import exposure_from, load_config
 
-    exposure = exposure_from(load_config(args.config) if args.config else {})
-    if args.exposure_kg_day is not None:
-        exposure = replace(exposure, exposure_kg_day=args.exposure_kg_day)
-    if args.electrons_per_atom is not None:
-        exposure = replace(exposure, electrons_per_atom=args.electrons_per_atom)
-    return exposure
+    values = load_config(args.config) if args.config else {}
+    for key in ("exposure_kg_day", "electrons_per_atom"):
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+    return exposure_from(values)
 
 
-def _emit_text(args, text: str) -> None:
-    if getattr(args, "out", None):
+def _emit_json(args, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise NumericalError(f"result out of the float range: {', '.join(bad)}") from None
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(args, payload: dict) -> None:
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    except ValueError:
-        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
-        raise NumericalError(f"result out of the float range: {', '.join(bad)}") from None
-    _emit_text(args, text + "\n")
-
-
 def _selected_input(args, default_min_counts: int):
-    """The --input spectrum cut to the window and --min-counts (or the default)."""
-    spectrum = load_spectrum(args.input)
-    min_counts = args.min_counts if args.min_counts is not None else default_min_counts
-    return select(spectrum, RangeSelection(e_min=args.emin, e_max=args.emax,
-                                           min_counts=min_counts))
+    """The --input spectrum cut to the window and --min-counts; a flag not
+    given takes its default (the route's, for --min-counts)."""
+    return select(load_spectrum(args.input), RangeSelection(
+        e_min=DEFAULT_E_MIN_KEV if args.emin is None else args.emin,
+        e_max=DEFAULT_E_MAX_KEV if args.emax is None else args.emax,
+        min_counts=default_min_counts if args.min_counts is None else args.min_counts))
 
 
 def _chi2_fit(args):
     """Chi-square fit of the selected --input spectrum."""
-    return fit_alpha(_selected_input(args, DEFAULT_MIN_COUNTS))
+    return fit_alpha(_selected_input(args, CHI2_MIN_COUNTS))
 
 
-def _fit_payload(args):
+def cmd_fit(args) -> int:
     fit = _chi2_fit(args)
-    upper = alpha_upper_limit(fit, args.cl)
-    return {
+    _emit_json(args, {
         "alpha_hat": fit.alpha_hat,
         "sigma_alpha": fit.sigma_alpha,
         "chi2": fit.chi2,
         "ndf": fit.ndf,
         "reduced_chi2": fit.reduced_chi2,
-        "alpha_upper": upper,
+        "alpha_upper": alpha_upper_limit(fit, args.cl),
         "confidence": args.cl,
-    }
-
-
-def cmd_fit(args) -> int:
-    _emit_json(args, _fit_payload(args))
+    })
     return 0
 
 
 def _limit_route(args, exposure):
     """Check the limit flags and read, select or fit the input once.
 
+    A run has one input: the route's shortcut (--y-total with --bins, or
+    --alpha-upper) or an --input file, which alone takes the window flags.
     Returns payload(coupling): the limit JSON for one coupling, so a scan
     converts the same bins or fit for both couplings.
     """
-    if args.method == "bayes":
-        if args.alpha_upper is not None:
-            raise ValidationError("--alpha-upper applies to --method chi2 only")
-        if args.y_total is not None:
-            if not args.bins:
-                raise ValidationError("--y-total requires --bins lo:hi:width")
-            y = args.y_total
-            bins = _parse_bins(args.bins)
-        elif args.bins:
-            raise ValidationError(BINS_WITHOUT_Y_TOTAL)
-        elif args.input:
+    bayes = args.method == "bayes"
+    if bayes and args.alpha_upper is not None:
+        raise ValidationError("--alpha-upper applies to --method chi2 only")
+    if not bayes and args.y_total is not None:
+        raise ValidationError("--y-total applies to --method bayes only")
+    shortcut, given = ("--y-total", args.y_total) if bayes else ("--alpha-upper", args.alpha_upper)
+    if bayes and given is not None:
+        if not args.bins:
+            raise ValidationError("--y-total requires --bins lo:hi:width")
+        bins = _parse_bins(args.bins)
+    elif args.bins:
+        raise ValidationError(BINS_WITHOUT_Y_TOTAL)
+    if given is None and not args.input:
+        raise ValidationError(f"{args.method} limit needs --input or {shortcut}"
+                              + (" with --bins" if bayes else ""))
+    if given is not None:
+        if not bayes and not given >= 0:
+            raise ValidationError(f"--alpha-upper must be >= 0, got {given}")
+        if args.input:
+            raise ValidationError(f"--input and {shortcut} are two inputs; give one")
+        for flag, value in (("--emin", args.emin), ("--emax", args.emax),
+                            ("--min-counts", args.min_counts)):
+            if value is not None:
+                raise ValidationError(f"{flag} applies to --input only, not with {shortcut}")
+
+    if bayes:
+        y = given
+        if y is None:
             bins = list(_selected_input(args, 0).bins)
             y = sum(b.counts for b in bins)
-        else:
-            raise ValidationError("bayes limit needs --input or --y-total with --bins")
 
         def bayes_payload(coupling: CouplingMode) -> dict:
             spec = posterior_spec(y, bins, args.r_c, coupling, exposure=exposure)
@@ -165,18 +167,12 @@ def _limit_route(args, exposure):
             }
         return bayes_payload
 
-    if args.y_total is not None:
-        raise ValidationError("--y-total applies to --method bayes only")
-    if args.bins:
-        raise ValidationError(BINS_WITHOUT_Y_TOTAL)
-    if args.alpha_upper is not None:
-        alpha_upper = args.alpha_upper
-        if not alpha_upper >= 0:
-            raise ValidationError(f"--alpha-upper must be >= 0, got {alpha_upper}")
-    elif args.input:
+    alpha_upper = given
+    if alpha_upper is None:
         alpha_upper = alpha_upper_limit(_chi2_fit(args), args.cl)
-    else:
-        raise ValidationError("chi2 limit needs --input or --alpha-upper")
+        if not alpha_upper >= 0:
+            raise ValidationError(f"alpha_upper {alpha_upper} from the fit at --cl {args.cl} "
+                                  "must be >= 0; give a higher --cl")
     from .model import lambda_from_alpha
 
     def chi2_payload(coupling: CouplingMode) -> dict:
@@ -216,9 +212,13 @@ def cmd_scan(args) -> int:
     if args.svg:
         from .svg import save_exclusion_svg
 
-        save_exclusion_svg(args.svg, curves,
-                           references=builtin_reference_points(), overlay=overlay,
-                           title="collapse-rate exclusion from X-ray emission")
+        try:
+            save_exclusion_svg(args.svg, curves,
+                               references=builtin_reference_points(), overlay=overlay,
+                               title="collapse-rate exclusion from X-ray emission")
+        except BaseException:
+            os.remove(args.out)  # a run that fails leaves no curve file
+            raise
     return 0
 
 
@@ -259,16 +259,29 @@ def cmd_coverage(args) -> int:
     return 0
 
 
-def _add_window_flags(parser, default_min_counts=None):
-    parser.add_argument("--emin", type=float, default=DEFAULT_E_MIN_KEV,
+def _add_window_flags(parser):
+    parser.add_argument("--emin", type=float,
                         help="lower edge of the analysis window in keV")
-    parser.add_argument("--emax", type=float, default=DEFAULT_E_MAX_KEV,
+    parser.add_argument("--emax", type=float,
                         help="upper edge of the analysis window in keV")
-    parser.add_argument("--min-counts", type=int, default=default_min_counts,
-                        help="drop bins below this count (chi2 default 5, bayes 0)")
+    parser.add_argument("--min-counts", type=int,
+                        help=f"drop bins below this count (chi2 default {CHI2_MIN_COUNTS}, "
+                             "bayes 0)")
 
 
-def _add_physics_flags(parser):
+def _add_limit_flags(parser):
+    """The flags limit and scan share: inputs, window, --cl and physics."""
+    parser.add_argument("--input", help="spectrum CSV (center_keV,width_keV,counts)")
+    parser.add_argument("--y-total", type=int, default=None,
+                        help="total observed counts (bayes shortcut, with --bins)")
+    parser.add_argument("--bins", help="analysis grid lo:hi:width, inclusive centers")
+    parser.add_argument("--alpha-upper", type=float, default=None,
+                        help="pre-computed amplitude bound (chi2 shortcut)")
+    parser.add_argument("--method", choices=METHODS, default="bayes",
+                        help="limit construction")
+    _add_window_flags(parser)
+    parser.add_argument("--cl", type=float, default=DEFAULT_CONFIDENCE,
+                        help="confidence / credibility level")
     parser.add_argument("--config", help="key=value file overriding the exposure")
     parser.add_argument("--exposure-kg-day", type=float, default=None,
                         help="override the exposure mass-time product")
@@ -279,17 +292,6 @@ def _add_physics_flags(parser):
     parser.add_argument("--coupling", choices=[m.value for m in CouplingMode],
                         default=CouplingMode.MASS_PROPORTIONAL.value,
                         help="which mass enters the emission rate")
-
-
-def _add_limit_input_flags(parser):
-    parser.add_argument("--input", help="spectrum CSV (center_keV,width_keV,counts)")
-    parser.add_argument("--y-total", type=int, default=None,
-                        help="total observed counts (bayes shortcut, with --bins)")
-    parser.add_argument("--bins", help="analysis grid lo:hi:width, inclusive centers")
-    parser.add_argument("--alpha-upper", type=float, default=None,
-                        help="pre-computed amplitude bound (chi2 shortcut)")
-    parser.add_argument("--method", choices=METHODS, default="bayes",
-                        help="limit construction")
 
 
 def _add_synth_flags(parser):
@@ -314,29 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="chi-square fit of the alpha/E model")
     p.add_argument("--input", required=True, help="spectrum CSV")
-    _add_window_flags(p, default_min_counts=DEFAULT_MIN_COUNTS)
+    _add_window_flags(p)
     p.add_argument("--cl", type=float, default=DEFAULT_CONFIDENCE,
                    help="one-sided confidence level")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("limit", help="upper limit on the collapse rate")
-    _add_limit_input_flags(p)
-    _add_window_flags(p)
-    p.add_argument("--cl", type=float, default=DEFAULT_CONFIDENCE,
-                   help="confidence / credibility level")
-    _add_physics_flags(p)
+    _add_limit_flags(p)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(handler=cmd_limit)
 
     p = sub.add_parser("scan", help="exclusion curves over a correlation-length grid")
-    _add_limit_input_flags(p)
-    _add_window_flags(p)
-    p.add_argument("--cl", type=float, default=DEFAULT_CONFIDENCE,
-                   help="confidence / credibility level")
-    _add_physics_flags(p)
-    p.add_argument("--grid",
-                   default=f"{DEFAULT_GRID_MIN_M}:{DEFAULT_GRID_MAX_M}:{DEFAULT_GRID_POINTS}",
+    _add_limit_flags(p)
+    p.add_argument("--grid", default=DEFAULT_GRID,
                    help="correlation-length grid lo:hi:n (log-spaced meters)")
     p.add_argument("--out", required=True, help="curve CSV output path")
     p.add_argument("--svg", help="also render the exclusion plot here")

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 
 from .constants import ExposureConfig, IGEX_EXPOSURE
 from .errors import ValidationError
+from .spectrum import read_text
 
 KNOWN_KEYS = tuple(f.name for f in fields(ExposureConfig))
 
@@ -19,7 +20,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
     """Parse ``key = value`` lines into {key: float}.
 
     Blank lines and ``#`` comments are skipped; inline comments are not
-    supported (a value must parse as a float in full).
+    supported (a value must parse as a float in full).  The values are
+    checked as exposure factors here, so a flag that later overrides one
+    cannot hide a bad file value.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -42,18 +45,14 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
             raise ValidationError(
                 f"{origin}:{lineno}: value for {key!r} is not a number: "
                 f"{value.strip()!r}") from None
+    exposure_from(values)
     return values
 
 
 def load_config(path) -> dict:
-    """Read and parse a config file (UTF-8, with or without a byte-order
-    mark); OSError propagates to the caller."""
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return parse_config_text(text, origin=str(path))
+    """Read (``spectrum.read_text``) and parse a config file; OSError
+    propagates to the caller."""
+    return parse_config_text(read_text(path), origin=str(path))
 
 
 def exposure_from(values: dict) -> ExposureConfig:

@@ -30,6 +30,8 @@ CODATA2018 = PhysicalConstants()
 
 # Limit constructions: chi-square fit or Poisson-count posterior.
 METHODS = ("chi2", "bayes")
+# Fewest counts a bin needs to enter a chi-square fit (its variance is its count).
+CHI2_MIN_COUNTS = 5
 
 
 class CouplingMode(Enum):

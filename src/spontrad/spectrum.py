@@ -27,6 +27,15 @@ def check_grid_size(n, what: str) -> None:
             f"{what} of {n:.7g} points exceeds the limit of {MAX_GRID_POINTS}")
 
 
+def check_float_range(n: int, what: str) -> None:
+    """Reject an integer count too large to convert to a float."""
+    try:
+        float(n)
+    except OverflowError:
+        raise ValidationError(
+            f"{what} of {n.bit_length()} bits is beyond the float range") from None
+
+
 def center_grid(lo: float, hi: float, width: float) -> list:
     """Bin centers lo, lo + width, ... up to and including hi (lo <= hi, width > 0)."""
     steps = (hi - lo) / width + 0.5
@@ -101,10 +110,26 @@ class RangeSelection:
             raise ValidationError(f"min_counts must be >= 0, got {self.min_counts}")
 
 
+def read_text(path, error=ValidationError) -> str:
+    """The text of an input file: UTF-8, a leading byte-order mark dropped,
+    CRLF and CR line ends made LF.
+
+    A byte that is not UTF-8 raises ``error`` naming the file and the
+    byte's offset in it; OSError propagates to the caller.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
 def csv_rows(path, header: str, n_fields: int, convert):
     """Parse a CSV file row by row, in file order, as the rows are asked for.
 
-    The one grammar of spontrad's CSV files: UTF-8 text (a leading
+    The one grammar of spontrad's CSV files: the text of ``read_text`` (a
     byte-order mark, as spreadsheet tools write, is dropped), blank and ``#``
     lines skipped anywhere, then the exact ``header`` line, then rows of
     ``n_fields`` comma-separated fields, each turned into a value by
@@ -114,14 +139,8 @@ def csv_rows(path, header: str, n_fields: int, convert):
     means.  Format errors and a ValueError from ``convert`` raise
     SpectrumFormatError naming the file and line.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise SpectrumFormatError(f"{path}: {exc}") from None
     header_seen = False
-    # Read in text mode, so \r\n and \r ends are already \n.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(read_text(path, SpectrumFormatError).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -152,7 +171,9 @@ def headed_csv_rows(path, header: str, n_fields: int, convert):
 
 
 def _bin_fields(fields):
-    return float(fields[0]), float(fields[1]), int(fields[2])
+    center, width, counts = float(fields[0]), float(fields[1]), int(fields[2])
+    check_float_range(counts, "count")
+    return center, width, counts
 
 
 def load_spectrum(path, source_label: str = "") -> BinnedSpectrum:

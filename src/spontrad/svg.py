@@ -96,10 +96,15 @@ def _data_ranges(curves, references, overlay):
     if not rs:
         raise ValidationError("nothing to plot")
     # Pad to whole decades so grid lines frame every feature.
-    r_lo = 10.0 ** math.floor(math.log10(min(rs)))
-    r_hi = 10.0 ** math.ceil(math.log10(max(rs)) + 1e-12)
-    lam_lo = 10.0 ** math.floor(math.log10(min(lams)))
-    lam_hi = 10.0 ** math.ceil(math.log10(max(lams)) + 1e-12)
+    try:
+        r_lo = 10.0 ** math.floor(math.log10(min(rs)))
+        r_hi = 10.0 ** math.ceil(math.log10(max(rs)) + 1e-12)
+        lam_lo = 10.0 ** math.floor(math.log10(min(lams)))
+        lam_hi = 10.0 ** math.ceil(math.log10(max(lams)) + 1e-12)
+    except OverflowError:
+        raise ValidationError(
+            f"plot range r=[{min(rs)}, {max(rs)}], lam=[{min(lams)}, {max(lams)}] "
+            "padded to whole decades is beyond the float range") from None
     if r_lo == r_hi:
         r_hi = r_lo * 10.0
     if lam_lo == lam_hi:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 from .backend import kernels
 from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
 from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
-from .constants import METHODS
+from .constants import CHI2_MIN_COUNTS, METHODS
 from .errors import InsufficientDataError, ValidationError
 from .spectrum import (BinnedSpectrum, EnergyBin, RangeSelection, center_grid, select,
                        total_counts)
 
-CHI2_MIN_COUNTS = 5
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
 # Fewest trials a forked worker is given.  A fork and the copy-on-write

@@ -136,6 +136,16 @@ class TestPosteriorSpec:
         with pytest.raises(ValidationError):
             PosteriorSpec(y_total=1.5, harmonic_sum=1.0, conversion=1.0)
 
+    def test_total_past_the_float_range_is_rejected(self):
+        # The largest float is 2**1024 - 2**971; from 2**1024 - 2**970 on,
+        # an integer rounds past it.
+        last = 2 ** 1024 - 2 ** 970 - 1
+        assert PosteriorSpec(y_total=last, harmonic_sum=1.0, conversion=1.0).y_total == last
+        for y in (last + 1, 10 ** 400):
+            with pytest.raises(ValidationError, match=f"y_total of {y.bit_length()} bits "
+                                                      "is beyond the float range"):
+                PosteriorSpec(y_total=y, harmonic_sum=1.0, conversion=1.0)
+
     def test_helper_composes_conversion(self):
         spec = posterior_spec(130, unit_bins(range(15, 49)), 1e-7,
                               CouplingMode.MASS_PROPORTIONAL)

@@ -149,6 +149,14 @@ class TestLimit:
                        "--bins", "15:48:1").json
         assert r == base
 
+    def test_flag_does_not_hide_a_bad_config_value(self, run_cli, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("electrons_per_atom = -4\n")
+        r = run_cli(*LIMIT_SHORTCUT, "--config", cfg, "--electrons-per-atom", 30)
+        assert (r.code, r.out) == (2, "")
+        assert r.error["error"]["message"] == (
+            "electrons_per_atom must be positive and finite, got -4.0")
+
 
 BOM = "\ufeff"
 SPECTRUM = "center_keV,width_keV,counts\n15.0,1.0,3\n16.0,1.0,5\n17.0,1.0,4\n"
@@ -160,6 +168,10 @@ REMOVED_KEYS = ("fine_structure_constant", "hbar_c_mev_fm", "proton_mass_mev",
                 "electron_mass_mev", "avogadro", "seconds_per_day")
 LIMIT_SHORTCUT = ("limit", "--y-total", 130, "--bins", "15:48:1")
 TINY_CL = ("--cl", 1e-320)
+# An integer past the float range: 10**400 has 1329 bits, 2**1024 is the limit.
+HUGE = 10 ** 400
+HUGE_SPECTRUM = f"center_keV,width_keV,counts\n15.0,1.0,3\n16.0,1.0,{HUGE}\n17.0,1.0,4\n"
+HUGE_MESSAGE = "{tmp}/in.csv:3: count of 1329 bits is beyond the float range"
 
 # (id, input files written to tmp, argv with {tmp}, exit code, message of a failure)
 EDGE_CASES = [
@@ -182,7 +194,21 @@ EDGE_CASES = [
      ("fit", "--input", "{tmp}/in.csv", "--min-counts", 0, *TINY_CL), 0, None),
     ("cl-1e-320-limit-chi2", {"in.csv": SPECTRUM},
      ("limit", "--method", "chi2", "--input", "{tmp}/in.csv", "--min-counts", 0, *TINY_CL),
-     2, "alpha must be >= 0, got -624.1709290147433"),
+     2, "alpha_upper -624.1709290147433 from the fit at --cl 1e-320 must be >= 0; "
+     "give a higher --cl"),
+    ("cl-near-1-limit-bayes", {}, ("limit", "--y-total", 0, "--bins", "15:48:1",
+                                   "--cl", 0.9999999999999999),
+     2, "confidence 0.9999999999999999 is too close to 1 for y_total 0: "
+     "its posterior quantile level rounds to 1.0"),
+    ("huge-y-total", {}, ("limit", "--y-total", HUGE, "--bins", "15:48:1"),
+     2, "y_total of 1329 bits is beyond the float range"),
+    ("huge-counts-fit", {"in.csv": HUGE_SPECTRUM},
+     ("fit", "--input", "{tmp}/in.csv", "--min-counts", 0), 2, HUGE_MESSAGE),
+    ("huge-counts-limit-chi2", {"in.csv": HUGE_SPECTRUM},
+     ("limit", "--method", "chi2", "--input", "{tmp}/in.csv", "--min-counts", 0),
+     2, HUGE_MESSAGE),
+    ("huge-counts-limit-bayes", {"in.csv": HUGE_SPECTRUM},
+     ("limit", "--method", "bayes", "--input", "{tmp}/in.csv"), 2, HUGE_MESSAGE),
     ("tiny-centers-fit", {"in.csv": TINY_SPECTRUM},
      ("fit", "--input", "{tmp}/in.csv", "--emin", 0), 2, TINY_MESSAGE),
     ("tiny-centers-limit-chi2", {"in.csv": TINY_SPECTRUM},
@@ -237,29 +263,62 @@ class TestExitCodes:
         if len(route) > 2:  # the route runs once --bins is dropped
             assert run_cli(command, *route, *extra).code == 0
 
+    @pytest.mark.parametrize("command", ["limit", "scan"])
+    @pytest.mark.parametrize("shortcut", [
+        ("--y-total", 130, "--bins", "15:48:1"),
+        ("--method", "chi2", "--alpha-upper", 143),
+    ], ids=["y-total", "alpha-upper"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--input", "{data}/synth_igex_like.csv"),
+        ("--emin", 20),
+        ("--emax", 40),
+        ("--min-counts", 3),
+    ], ids=["input", "emin", "emax", "min-counts"])
+    def test_second_input_exits_2(self, run_cli, schemas, data_dir, tmp_path, command,
+                                  shortcut, flag, value):
+        # A shortcut is the run's input: a file, or a window to cut one,
+        # would be parsed and then ignored.
+        out = tmp_path / "out.csv"
+        extra = ["--grid", "1e-9:1e-3:5"] if command == "scan" else []
+        r = run_cli(command, *shortcut, flag, str(value).format(data=data_dir),
+                    *extra, "--out", out)
+        name = shortcut[0] if shortcut[0] == "--y-total" else shortcut[2]
+        message = (f"--input and {name} are two inputs; give one" if flag == "--input"
+                   else f"{flag} applies to --input only, not with {name}")
+        assert (r.code, r.out) == (2, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error == {"error": {"type": "validation", "message": message}}
+        assert not out.exists()
+        assert run_cli(command, *shortcut, *extra, "--out", out).code == 0
+
     def test_missing_file_exits_3(self, run_cli, tmp_path, schemas):
         r = run_cli("fit", "--input", tmp_path / "absent.csv")
         assert r.code == 3
         jsonschema.validate(r.error, schemas["error"])
         assert r.error["error"]["type"] == "io"
 
-    @pytest.mark.parametrize("argv", [
-        ("fit", "--input", "{bad}"),
-        ("limit", "--input", "{bad}"),
-        ("limit", "--y-total", 130, "--bins", "15:48:1", "--config", "{bad}"),
-        ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
-         "--out", "{tmp}/c.csv", "--svg", "{tmp}/p.svg", "--overlay", "{bad}"),
-    ], ids=["fit-input", "limit-input", "limit-config", "scan-overlay"])
-    def test_non_utf8_file_exits_2(self, run_cli, schemas, tmp_path, argv):
+    @pytest.mark.parametrize("mark,argv", [
+        (mark, argv) for mark in ("", BOM) for argv in [
+            ("fit", "--input", "{bad}"),
+            ("limit", "--input", "{bad}"),
+            ("limit", "--y-total", 130, "--bins", "15:48:1", "--config", "{bad}"),
+            ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
+             "--out", "{tmp}/c.csv", "--svg", "{tmp}/p.svg", "--overlay", "{bad}"),
+        ]], ids=[name + suffix for suffix in ("", "-after-mark")
+                 for name in ("fit-input", "limit-input", "limit-config", "scan-overlay")])
+    def test_non_utf8_file_exits_2(self, run_cli, schemas, tmp_path, mark, argv):
+        # The position is the bad byte's offset in the file, a byte-order mark included.
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(b"# \xff\n")
+        prefix = mark.encode("utf-8")
+        bad.write_bytes(prefix + b"# \xff\n")
         argv = [str(a).format(bad=bad, tmp=tmp_path) for a in argv]
         r = run_cli(*argv)
         assert r.code == 2
         assert r.out == ""
         jsonschema.validate(r.error, schemas["error"])
         assert r.error == {"error": {"type": "validation", "message": (
-            f"{bad}: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte")}}
+            f"{bad}: 'utf-8' codec can't decode byte 0xff in position {len(prefix) + 2}: "
+            "invalid start byte")}}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
     @pytest.mark.parametrize("files,argv,code,message", [case[1:] for case in EDGE_CASES],
@@ -505,6 +564,20 @@ class TestScan:
         jsonschema.validate(r.error, schemas["error"])
         assert not out.exists()
         assert not svg.exists()
+
+    @pytest.mark.parametrize("alpha_upper,grid,svg,code,kind", [
+        # The plot's lambda range, padded to whole decades, passes 1e308.
+        (1e308, "1e-7:0.515:2", "p.svg", 2, "validation"),
+        (100, "1e-9:1e-3:5", "nodir/p.svg", 3, "io"),
+    ], ids=["range-past-float", "missing-directory"])
+    def test_failed_svg_leaves_no_out_file(self, run_cli, tmp_path, schemas, alpha_upper,
+                                           grid, svg, code, kind):
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", alpha_upper, "--grid", grid,
+                    "--out", tmp_path / "c.csv", "--svg", tmp_path / svg)
+        assert (r.code, r.out) == (code, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"]["type"] == kind
+        assert list(tmp_path.iterdir()) == []
 
     def test_input_spectrum_is_loaded_once(self, run_cli, tmp_path, data_dir, monkeypatch):
         loads = []

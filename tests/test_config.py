@@ -45,6 +45,12 @@ class TestParse:
         with pytest.raises(ValidationError, match=":1"):
             parse_config_text("exposure_kg_day 9.5")
 
+    def test_value_outside_the_exposure_domain_rejected(self):
+        # Checked in the file, so an overriding flag cannot hide it.
+        with pytest.raises(ValidationError,
+                           match="^electrons_per_atom must be positive and finite, got -4.0$"):
+            parse_config_text("electrons_per_atom = -4")
+
     def test_whitespace_around_separator(self):
         assert parse_config_text("electrons_per_atom=4") == {
             "electrons_per_atom": 4.0}
