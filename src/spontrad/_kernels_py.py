@@ -7,8 +7,12 @@ Contents:
   * log_gamma          -- Lanczos (g = 7, 9 coefficients), reflection for x < 1/2
   * reg_inc_gamma      -- regularized lower incomplete gamma P(s, x):
                           power series for x < s + 1, Lentz continued fraction
-                          for the upper tail otherwise
-  * gamma_quantile     -- bracketed bisection with Newton polish on P(s, x)
+                          for the upper tail otherwise; from shape 5e4 on,
+                          Temme's uniform asymptotic expansion instead
+                          (DiDonato & Morris, ACM TOMS 12 (1986) 377)
+  * gamma_quantile     -- bracketed bisection with Newton polish on P(s, x);
+                          from shape 5e4 on, Newton from a Wilson-Hilferty
+                          guess inside a bracket of a few sqrt(s)
   * normal_quantile    -- Acklam rational initial guess + one Halley step on
                           the erfc-based normal CDF
   * Rng                -- xoshiro256** stream seeded through splitmix64, with
@@ -22,6 +26,7 @@ Contents:
 
 import math
 from bisect import bisect_right
+from itertools import zip_longest
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -107,6 +112,87 @@ def _upper_continued_fraction(s, x, gln):
     raise ValueError(f"incomplete gamma continued fraction failed to converge (s={s}, x={x})")
 
 
+# From this shape on, P(s, x) and its inverse take Temme's uniform asymptotic
+# expansion: near the mean the power series needs about 9*sqrt(s) terms and
+# outruns _MAX_SERIES_ITER a little above s = 6e4.
+_LARGE_SHAPE = 5e4
+
+# (-1)**k / (k + 2), k = 12 ... 0: lam - 1 - ln(lam) = mu**2 * sum((-mu)**k / (k + 2))
+# with mu = lam - 1, to 1e-17 for |mu| < 0.05.
+_ETA_SERIES = tuple((-1) ** k / (k + 2) for k in range(12, -1, -1))
+
+# Taylor coefficients in eta of Temme's C_0, C_1 and C_2 (DiDonato & Morris,
+# Algorithm 654).  Where exp(-s * eta**2 / 2) is a double at s >= 5e4,
+# |eta| < 0.18, and the terms left out are below 1e-17 of the result.
+_TEMME_C0 = (-1 / 3, 1 / 12, -2 / 135, 1 / 864, 1 / 2835, -139 / 777600, 1 / 25515,
+             -571 / 261273600, -281 / 151559100, 163879 / 197522841600,
+             -5221 / 29554024500, 5246819 / 782190452736000, 5459 / 531972441000)
+_TEMME_C1 = (-1 / 540, -1 / 288, 1 / 378, -77 / 77760, 1 / 4860, -1 / 2488320,
+             -2743 / 151559100, 41969 / 5486745600, -11 / 6823440,
+             47207 / 10158317568000)
+_TEMME_C2 = (25 / 6048, -139 / 51840, 1 / 1296, 1 / 497664, -6199 / 57736800,
+             5531 / 104509440)
+# Rows (C_0, C_1, C_2) of the coefficient of eta**k, highest k first, for Horner.
+_TEMME_ROWS = tuple(zip_longest(_TEMME_C0, _TEMME_C1, _TEMME_C2, fillvalue=0.0))[::-1]
+_TWO_PI = 2.0 * math.pi
+
+
+def _temme_eta(s, x):
+    """eta with eta**2 / 2 = lam - 1 - ln(lam), lam = x / s, signed as lam - 1.
+
+    Near lam = 1 the difference cancels, so it is summed as a series in
+    mu = lam - 1 there.  Farther out, where the log form loses up to 1e-11 of
+    P's relative accuracy, exp(-s * eta**2 / 2) is below 1e-26 at every
+    large shape.
+    """
+    mu = (x - s) / s
+    if abs(mu) < 0.05:
+        acc = 0.0
+        for c in _ETA_SERIES:
+            acc = acc * mu + c
+        half = mu * mu * acc
+    else:
+        half = mu - math.log(x) + math.log(s)
+    return math.copysign(math.sqrt(2.0 * half), mu)
+
+
+def _temme_lower(s, x):
+    """P(s, x) for s >= _LARGE_SHAPE by Temme's uniform asymptotic expansion.
+
+    Q(s, x) = erfc(eta * sqrt(s / 2)) / 2 + R and P = 1 - Q, with
+    R = exp(-s * eta**2 / 2) / sqrt(2 pi s) * (C_0 + C_1 / s + C_2 / s**2);
+    the smaller of P and Q is formed directly, so each tail keeps its
+    relative accuracy.
+    """
+    eta = _temme_eta(s, x)
+    t = 0.5 * s * eta * eta
+    if t > 745.0:  # both terms are below the smallest double
+        return 0.0 if eta < 0.0 else 1.0
+    inv = 1.0 / s
+    acc = 0.0
+    for c0, c1, c2 in _TEMME_ROWS:
+        acc = acc * eta + (c0 + (c1 + c2 * inv) * inv)
+    r = math.exp(-t) / math.sqrt(_TWO_PI * s) * acc
+    tail = 0.5 * math.erfc(math.sqrt(t))
+    if eta < 0.0:
+        return tail - r
+    return 1.0 - (tail + r)
+
+
+def _temme_density(s, x):
+    """x**(s-1) * exp(-x) / Gamma(s) for s >= _LARGE_SHAPE, in the eta form
+    sqrt(s / (2 pi)) * exp(-s * eta**2 / 2) / (Gamma*(s) * x).
+
+    Gamma*(s) = Gamma(s) / (sqrt(2 pi / s) * (s / e)**s) by its Stirling
+    series.  The direct form, exp((s - 1) ln x - x - log_gamma(s)), cancels
+    terms of size s and loses about 6 digits at s = 1e9.
+    """
+    eta = _temme_eta(s, x)
+    inv = 1.0 / s
+    gamma_star = 1.0 + inv * (1 / 12 + inv * (1 / 288 - inv * (139 / 51840)))
+    return math.sqrt(s / _TWO_PI) * math.exp(-0.5 * s * eta * eta) / (gamma_star * x)
+
+
 def reg_inc_gamma(s, x):
     """Regularized lower incomplete gamma P(s, x), s > 0, x >= 0."""
     if not s > 0.0 or not math.isfinite(s):
@@ -115,6 +201,8 @@ def reg_inc_gamma(s, x):
         raise ValueError(f"reg_inc_gamma requires finite x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if s >= _LARGE_SHAPE:
+        return _temme_lower(s, x)
     gln = log_gamma(s)
     if x < s + 1.0:
         return _lower_series(s, x, gln)
@@ -126,7 +214,9 @@ def gamma_quantile(s, p):
 
     Bracketed bisection refined by Newton steps; the result satisfies
     |P(s, x) - p| <= 1e-12 unless the bracket collapses to machine width
-    first (which also pins x).
+    first (which also pins x).  From shape _LARGE_SHAPE on, Newton starts
+    at the Wilson-Hilferty guess, which is within about 0.01 sqrt(s) of
+    the quantile for every p, inside a bracket of 3 sqrt(s) to each side.
     """
     if not s > 0.0 or not math.isfinite(s):
         raise ValueError(f"gamma_quantile requires finite shape > 0, got {s}")
@@ -135,16 +225,30 @@ def gamma_quantile(s, p):
     if p == 0.0:
         return 0.0
 
-    gln = log_gamma(s)
-    lo = 0.0
-    hi = s + 10.0 * math.sqrt(s) + 10.0
-    while reg_inc_gamma(s, hi) < p:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError(f"gamma_quantile bracket overflow (s={s}, p={p})")
+    large = s >= _LARGE_SHAPE
+    if large:
+        root = math.sqrt(s)
+        x = s * (1.0 - 1.0 / (9.0 * s) + normal_quantile(p) / (3.0 * root)) ** 3
+        width = 3.0 * root
+        lo, hi = x - width, x + width
+        # Widening doubles the step, which outgrows the spacing of doubles
+        # near s even where sqrt(s) is below it (s above about 1e31).  P is
+        # 0 from s - 40 sqrt(s) down, so lo stays positive.
+        while reg_inc_gamma(s, hi) < p:
+            lo, hi, width = hi, hi + width, 2.0 * width
+        while reg_inc_gamma(s, lo) > p:
+            lo, hi, width = lo - width, lo, 2.0 * width
+    else:
+        gln = log_gamma(s)
+        lo = 0.0
+        hi = s + 10.0 * math.sqrt(s) + 10.0
+        while reg_inc_gamma(s, hi) < p:
+            lo = hi
+            hi *= 2.0
+            if hi > 1e300:
+                raise ValueError(f"gamma_quantile bracket overflow (s={s}, p={p})")
+        x = 0.5 * (lo + hi)
 
-    x = 0.5 * (lo + hi)
     for _ in range(200):
         f = reg_inc_gamma(s, x) - p
         if abs(f) <= 1e-12:
@@ -157,8 +261,11 @@ def gamma_quantile(s, p):
         # zero (small shapes), where an absolute width would stop early.
         if hi - lo <= 1e-15 * hi:
             return x
-        arg = (s - 1.0) * math.log(x) - x - gln
-        pdf = math.exp(arg) if arg > -745.0 else 0.0
+        if large:
+            pdf = _temme_density(s, x)
+        else:
+            arg = (s - 1.0) * math.log(x) - x - gln
+            pdf = math.exp(arg) if arg > -745.0 else 0.0
         if pdf > 0.0:
             step = f / pdf
             cand = x - step

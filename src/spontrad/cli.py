@@ -140,6 +140,8 @@ def _limit_route(args, exposure):
     if given is not None:
         if not bayes and not given >= 0:
             raise ValidationError(f"--alpha-upper must be >= 0, got {given}")
+        if not bayes and not 0.0 < args.cl < 1.0:  # the shortcut only echoes --cl
+            raise ValidationError(f"confidence must be in (0, 1), got {args.cl}")
         if args.input:
             raise ValidationError(f"--input and {shortcut} are two inputs; give one")
         for flag, value in (("--emin", args.emin), ("--emax", args.emax),
@@ -208,17 +210,22 @@ def cmd_scan(args) -> int:
               for coupling in CouplingMode]
     # Read before anything is written, so a bad overlay leaves no --out file.
     overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
-    save_curves(curves, args.out)
-    if args.svg:
-        from .svg import save_exclusion_svg
+    # The curves go to a file beside --out that replaces it once the plot is
+    # drawn, so a run that fails leaves --out as it was, or absent.
+    partial = f"{args.out}.tmp"
+    try:
+        save_curves(curves, partial)
+        if args.svg:
+            from .svg import save_exclusion_svg
 
-        try:
             save_exclusion_svg(args.svg, curves,
                                references=builtin_reference_points(), overlay=overlay,
                                title="collapse-rate exclusion from X-ray emission")
-        except BaseException:
-            os.remove(args.out)  # a run that fails leaves no curve file
-            raise
+        os.replace(partial, args.out)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
     return 0
 
 

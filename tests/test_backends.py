@@ -7,6 +7,7 @@ independent reimplementation of the published recurrences.
 import bisect
 import math
 
+import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -284,6 +285,21 @@ class TestPoissonPlan:
             kern.poisson_plan([3.0, bad])
 
 
+def _lower_gamma(s, x):
+    """P(s, x) from scipy, or from mpmath's 1F1 series below s - 4 sqrt(s).
+
+    From about s - 4.5 sqrt(s) down to s - 7.3 sqrt(s), scipy's gammainc
+    at large s is off by up to 2e-6 (s = 1e9, x = s - 4.6 sqrt(s), against
+    mpmath).  P(s, x) = x**s exp(-x) / Gamma(s + 1) * 1F1(1; s + 1; x).
+    """
+    if x >= s - 4.0 * math.sqrt(s):
+        return float(special.gammainc(s, x))
+    with mpmath.workdps(30):
+        s_, x_ = mpmath.mpf(s), mpmath.mpf(x)
+        return float(mpmath.exp(s_ * mpmath.log(x_) - x_ - mpmath.loggamma(s_ + 1))
+                     * mpmath.hyp1f1(1, s_ + 1, x_, maxterms=10**7))
+
+
 class TestSpecialFunctionOracles:
     @settings(max_examples=200, deadline=None)
     @given(x=st.floats(min_value=1e-3, max_value=170.0, allow_nan=False))
@@ -319,6 +335,65 @@ class TestSpecialFunctionOracles:
         # function evaluated at our quantile must still hit p.
         ours = _kernels_py.gamma_quantile(s, p)
         assert special.gammainc(s, ours) == pytest.approx(p, abs=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(s=st.floats(min_value=5e4, max_value=1e9),
+           z=st.floats(min_value=-12.0, max_value=12.0))
+    def test_reg_inc_gamma_large_shape_vs_oracle(self, s, z):
+        x = s + z * math.sqrt(s)
+        assert _kernels_py.reg_inc_gamma(s, x) == pytest.approx(_lower_gamma(s, x),
+                                                                abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(min_value=5e4, max_value=1e9),
+           p=st.floats(min_value=1e-6, max_value=1 - 1e-6, allow_nan=False))
+    def test_gamma_quantile_large_shape_vs_oracle(self, s, p):
+        ours = _kernels_py.gamma_quantile(s, p)
+        assert _lower_gamma(s, ours) == pytest.approx(p, abs=1e-10)
+
+    @pytest.mark.parametrize("s", [5e4, 1e6, 1e9])
+    def test_reg_inc_gamma_large_shape_far_tails(self, s):
+        for x in (5e-324, 1.0, 0.5 * s):
+            assert _kernels_py.reg_inc_gamma(s, x) == 0.0
+        for x in (2.0 * s, 1e300):
+            assert _kernels_py.reg_inc_gamma(s, x) == 1.0
+
+    @pytest.mark.parametrize("s", [1e12, 1e20, 1e40, 1e300, 1.7e308])
+    def test_gamma_quantile_resolves_shapes_past_double_resolution(self, s):
+        # Above about 1e31, sqrt(s) is below the spacing of doubles near s
+        # and P(s, x) steps from 0 to 1 within a few doubles; the quantile
+        # still returns, at p or at the doubles where P steps past it.
+        for p in (1e-300, 1e-6, 0.5, 0.99, 1 - 1e-12):
+            x = _kernels_py.gamma_quantile(s, p)
+            near = 5.0 * math.ulp(x)
+            assert (abs(_kernels_py.reg_inc_gamma(s, x) - p) <= 1e-12
+                    or _kernels_py.reg_inc_gamma(s, x - near) <= p
+                    <= _kernels_py.reg_inc_gamma(s, x + near))
+
+    @pytest.mark.parametrize("s", [1e4, 3e4, 49_999.0])
+    def test_asymptotic_expansion_meets_the_series_below_the_threshold(self, s):
+        # The expansion already holds below 5e4, and the series agrees with
+        # it there to its own accuracy: its prefactor exp(s ln x - x - ln
+        # Gamma(s)) cancels terms of size s, which costs up to 2e-11 near
+        # the mean at s = 3e4.
+        for z in (-8.0, -3.0, -1.0, -0.1, 0.0, 0.5, 2.0, 6.0):
+            x = s + z * math.sqrt(s)
+            temme = _kernels_py._temme_lower(s, x)
+            assert temme == pytest.approx(special.gammainc(s, x), abs=1e-15)
+            assert _kernels_py.reg_inc_gamma(s, x) == pytest.approx(temme, abs=5e-11)
+
+    def test_gamma_quantile_below_the_threshold_never_raises(self):
+        # Shapes from 1e3 up to the asymptotic branch stay on the series and
+        # continued fraction, whose 2000-term caps hold there.  Near the mean
+        # the series is good to about 1e-11 at these shapes, so the bracket
+        # can close before |P - p| <= 1e-12.
+        below = math.nextafter(5e4, 0.0)
+        shapes = [1e3 * 50.0 ** (i / 40) for i in range(40)] + [4.99e4, below]
+        for s in shapes:
+            for p in (1.000001e-6, 1e-4, 0.02, 0.32, 0.5, 0.68, 0.95, 0.9999,
+                      1 - 1.000001e-6):
+                x = _kernels_py.gamma_quantile(s, p)
+                assert _kernels_py.reg_inc_gamma(s, x) == pytest.approx(p, abs=1e-10)
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(min_value=1e-12, max_value=1 - 1e-12, allow_nan=False))

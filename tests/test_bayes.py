@@ -181,6 +181,13 @@ class TestCredibleLimit:
                   for y in (0, 10, 50, 130, 400)]
         assert limits == sorted(limits)
 
+    @pytest.mark.parametrize("confidence", [0.01, 0.68, 0.9, 0.95, 0.99, 0.999999])
+    def test_monotone_in_counts_across_the_asymptotic_threshold(self, confidence):
+        # Shape y + 1 reaches 5e4, where the kernels change method, at y = 49,999.
+        limits = [lambda_credible_limit(self.spec(y=y), confidence).lambda_upper
+                  for y in range(49_997, 50_002)]
+        assert all(a < b for a, b in zip(limits, limits[1:]))
+
     def test_decreasing_in_conversion_and_harmonic_sum(self):
         base = lambda_credible_limit(self.spec(), 0.95).lambda_upper
         assert lambda_credible_limit(

@@ -6,6 +6,7 @@ import tracemalloc
 
 import jsonschema
 import pytest
+from scipy import special
 
 import spontrad.cli
 from spontrad.errors import NumericalError
@@ -216,6 +217,30 @@ EDGE_CASES = [
 ]
 
 
+class TestLargeCounts:
+    """Totals past the power series' reach take the asymptotic kernels."""
+
+    @pytest.mark.parametrize("y", [100_000, 1_000_000_000])
+    def test_bayes_limit_agrees_with_scipy(self, run_cli, schemas, y):
+        r = run_cli("limit", "--method", "bayes", "--y-total", y, "--bins", "15:48:1")
+        assert r.code == 0
+        jsonschema.validate(r.json, schemas["limit_result"])
+        # The limit is (cap - 1) times a factor of the grid and coupling, which
+        # the y = 130 anchor fixes; P(y + 1, 1) is 0 at both totals, so cap is
+        # the plain gamma quantile at --cl.
+        def cap(total):
+            return special.gammaincinv(total + 1.0, 0.95)
+
+        want = BAYES_LAMBDA_MP * (cap(y) - 1.0) / (cap(130) - 1.0)
+        assert r.json["lambda_upper_s_inv"] == pytest.approx(want, rel=1e-9)
+
+    def test_bayes_coverage_study_runs(self, run_cli, schemas):
+        r = run_cli("coverage", "--method", "bayes", "--alpha", "1e7", "--trials", 10)
+        assert r.code == 0
+        jsonschema.validate(r.json, schemas["coverage_report"])
+        assert r.json["trials"] == 10
+
+
 class TestExitCodes:
     def test_validation_errors_exit_2(self, run_cli, schemas):
         cases = [
@@ -347,6 +372,18 @@ class TestExitCodes:
                 (tmp_path / name).write_text(text[len(BOM):], encoding="utf-8")
             assert run_cli(*argv).code == 0
             assert (tmp_path / "out").read_bytes() == produced
+
+    @pytest.mark.parametrize("command", ["limit", "scan"])
+    @pytest.mark.parametrize("cl", [2.0, 0.0, 1.0, -0.5])
+    def test_chi2_shortcut_confidence_out_of_range_exits_2(self, run_cli, schemas,
+                                                            tmp_path, command, cl):
+        out = tmp_path / "out"
+        r = run_cli(command, "--method", "chi2", "--alpha-upper", 143, "--cl", cl,
+                    "--out", out)
+        assert (r.code, r.out) == (2, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"]["message"] == f"confidence must be in (0, 1), got {cl}"
+        assert list(tmp_path.iterdir()) == []
 
     def test_numerical_failure_exits_4(self, run_cli, schemas, monkeypatch):
         def explode(spec, confidence):
@@ -578,6 +615,26 @@ class TestScan:
         jsonschema.validate(r.error, schemas["error"])
         assert r.error["error"]["type"] == kind
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_svg_keeps_an_existing_out_file(self, run_cli, tmp_path):
+        out = tmp_path / "old.csv"
+        out.write_text("kept\n")
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5",
+                    "--out", out, "--svg", tmp_path / "nodir" / "p.svg")
+        assert r.code == 3
+        assert out.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_out_file_is_replaced_with_the_mode_of_a_new_file(self, run_cli, tmp_path):
+        out, svg, fresh = tmp_path / "c.csv", tmp_path / "p.svg", tmp_path / "fresh"
+        out.write_text("old\n")
+        fresh.write_text("")
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5",
+                    "--out", out, "--svg", svg)
+        assert r.code == 0
+        assert len(load_curves(out)) == 2
+        assert out.stat().st_mode == fresh.stat().st_mode
+        assert sorted(tmp_path.iterdir()) == [out, fresh, svg]
 
     def test_input_spectrum_is_loaded_once(self, run_cli, tmp_path, data_dir, monkeypatch):
         loads = []

@@ -338,6 +338,25 @@ def split(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def _fail_from_trial(monkeypatch, cfg, trials, first_bad):
+    """Make the bayes limit fail for every total first drawn at trial
+    first_bad or later; returns the error a serial study raises."""
+    means = cfg.bin_means()
+    totals = [sum(draw_counts(cfg, means, i)) for i in range(trials)]
+    bad = set(totals[first_bad:]) - set(totals[:first_bad])
+    assert bad
+    limit = synth._bayes_limit
+
+    def failing_limit(y_total, harmonic, confidence):
+        if y_total in bad:
+            raise NumericalError(f"no limit for total {y_total}")
+        return limit(y_total, harmonic, confidence)
+
+    monkeypatch.setattr(synth, "_bayes_limit", failing_limit)
+    first = next(t for t in totals[first_bad:] if t in bad)
+    return f"no limit for total {first}"
+
+
 class TestSplitTrials:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_golden_studies_identical_for_any_split(self, split, workers):
@@ -390,41 +409,32 @@ class TestSplitTrials:
         assert len(pids) == 1
         assert (report.trials, report.covered, report.skipped) == (60, 46, 0)
 
-    def test_cli_error_identical_when_split(self, split, run_cli):
-        argv = ("coverage", "--method", "bayes", "--alpha", "1e5", "--trials", 20)
+    def test_cli_error_identical_when_split(self, split, run_cli, monkeypatch):
+        # The first failing trial lies in the last child's range, so the split
+        # run prints the error a child raised.
+        cfg = SynthConfig(alpha_true=115.0, seed=0, **WINDOW)
+        message = _fail_from_trial(monkeypatch, cfg, 20, 15)
+        argv = ("coverage", "--method", "bayes", "--alpha", "115", "--trials", 20)
         split(1)
         serial = run_cli(*argv)
         pids = split(3)
         parallel = run_cli(*argv)
         assert len(pids) == 2
         assert serial.code == parallel.code == 4
-        assert "failed to converge" in serial.error["error"]["message"]
+        assert serial.error["error"]["message"] == message
         assert parallel.err == serial.err
         assert parallel.out == serial.out == ""
 
     @pytest.mark.parametrize("first_bad", [0, 25, 45])
     def test_failing_trial_raises_the_serial_error(self, split, monkeypatch, first_bad):
-        # The limit fails for every total first drawn at trial first_bad or
-        # later; which range holds that trial decides who raises it: the
-        # parent (0), the first child (25) or the last child (45).
+        # Which range holds the first failing trial decides who raises it:
+        # the parent (0), the first child (25) or the last child (45).
         cfg = SynthConfig(alpha_true=115.0, seed=20260823, **WINDOW)
-        means = cfg.bin_means()
-        totals = [sum(draw_counts(cfg, means, i)) for i in range(GOLDEN_TRIALS)]
-        bad = set(totals[first_bad:]) - set(totals[:first_bad])
-        assert bad
-        limit = synth._bayes_limit
-
-        def failing_limit(y_total, harmonic, confidence):
-            if y_total in bad:
-                raise NumericalError(f"no limit for total {y_total}")
-            return limit(y_total, harmonic, confidence)
-
-        monkeypatch.setattr(synth, "_bayes_limit", failing_limit)
+        message = _fail_from_trial(monkeypatch, cfg, GOLDEN_TRIALS, first_bad)
         split(1)
         with pytest.raises(NumericalError) as serial:
             run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
-        first = next(t for t in totals[first_bad:] if t in bad)
-        assert str(serial.value) == f"no limit for total {first}"
+        assert str(serial.value) == message
         pids = split(3)
         with pytest.raises(NumericalError) as parallel:
             run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
