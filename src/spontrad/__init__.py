@@ -24,7 +24,6 @@ _EXPORTS = {
     "bayes": ("CredibleLimit", "PosteriorSpec", "gamma_quantile", "harmonic_sum",
               "lambda_credible_limit", "posterior_spec", "reg_inc_gamma"),
     "chi2fit": ("FitResult", "alpha_upper_limit", "fit_alpha", "normal_quantile"),
-    "config": ("load_config", "parse_config_text"),
     "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "HISTORICAL_LAMBDA_LIMITS",
                   "IGEX_EXPOSURE", "PhysicalConstants", "coupling_mass_energy",
                   "dimensionless_coupling", "exposure_factor"),

@@ -7,8 +7,8 @@ object to stderr and exit with 2 (validation), 3 (I/O) or 4 (numerical
 non-convergence); argparse keeps its usual usage-error behavior.
 
 The modules that only some commands use are imported where they run:
-scan, svg and synth by their commands, config by limit and scan, model on
-the chi2 route of limit and scan.  A fit process loads none of them.
+scan, svg and synth by their commands, model on the chi2 route of limit
+and scan.  A fit process loads none of them.
 """
 
 import argparse
@@ -19,7 +19,8 @@ import sys
 
 from .bayes import lambda_credible_limit, posterior_spec
 from .chi2fit import alpha_upper_limit, fit_alpha
-from .constants import CHI2_MIN_COUNTS, METHODS, CouplingMode, exposure_factor
+from .constants import (CHI2_MIN_COUNTS, IGEX_EXPOSURE, METHODS, CouplingMode, ExposureConfig,
+                        exposure_factor)
 from .errors import NumericalError, ValidationError
 from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
                        load_spectrum, save_spectrum, select)
@@ -62,15 +63,11 @@ def _parse_grid(spec: str) -> list:
     return log_grid(*_split_spec("--grid", spec, "n", int))
 
 
-def _physics_inputs(args):
-    """The exposure: defaults <- config file <- dedicated flags."""
-    from .config import exposure_from, load_config
-
-    values = load_config(args.config) if args.config else {}
-    for key in ("exposure_kg_day", "electrons_per_atom"):
-        if getattr(args, key) is not None:
-            values[key] = getattr(args, key)
-    return exposure_from(values)
+def _physics_inputs(args) -> ExposureConfig:
+    """The exposure of the three flags, each defaulting to IGEX_EXPOSURE's."""
+    return ExposureConfig(atoms_per_kg=args.atoms_per_kg,
+                          exposure_kg_day=args.exposure_kg_day,
+                          electrons_per_atom=args.electrons_per_atom)
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -197,6 +194,23 @@ def cmd_limit(args) -> int:
     return 0
 
 
+def _reserve_beside(path) -> str:
+    """Create an empty file of a new name in path's directory; return the name.
+
+    The file is made by a plain open(), so it has the mode any new file
+    gets, and keeps it when it replaces path.  An OSError names path.
+    """
+    while True:
+        name = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            open(name, "x").close()
+            return name
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
 def cmd_scan(args) -> int:
     from .scan import builtin_reference_points, load_overlay_boundary, save_curves, scan
 
@@ -212,7 +226,7 @@ def cmd_scan(args) -> int:
     overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
     # The curves go to a file beside --out that replaces it once the plot is
     # drawn, so a run that fails leaves --out as it was, or absent.
-    partial = f"{args.out}.tmp"
+    partial = _reserve_beside(args.out)
     try:
         save_curves(curves, partial)
         if args.svg:
@@ -289,11 +303,14 @@ def _add_limit_flags(parser):
     _add_window_flags(parser)
     parser.add_argument("--cl", type=float, default=DEFAULT_CONFIDENCE,
                         help="confidence / credibility level")
-    parser.add_argument("--config", help="key=value file overriding the exposure")
-    parser.add_argument("--exposure-kg-day", type=float, default=None,
-                        help="override the exposure mass-time product")
-    parser.add_argument("--electrons-per-atom", type=float, default=None,
-                        help="override the emitting electrons per atom")
+    parser.add_argument("--atoms-per-kg", type=float, default=IGEX_EXPOSURE.atoms_per_kg,
+                        help="atoms per kg of detector (default %(default)s)")
+    parser.add_argument("--exposure-kg-day", type=float,
+                        default=IGEX_EXPOSURE.exposure_kg_day,
+                        help="exposure mass-time product in kg day (default %(default)s)")
+    parser.add_argument("--electrons-per-atom", type=float,
+                        default=IGEX_EXPOSURE.electrons_per_atom,
+                        help="emitting electrons per atom (default %(default)s)")
     parser.add_argument("--r-c", type=float, default=DEFAULT_R_C_M,
                         help="correlation length in meters")
     parser.add_argument("--coupling", choices=[m.value for m in CouplingMode],

@@ -2,7 +2,7 @@
 
 CSV schema: header ``center_keV,width_keV,counts``, one row per bin,
 ``#``-prefixed comment lines allowed anywhere, plain decimal numbers.
-Exposure metadata travels outside the CSV (CLI config sidecar keys).
+The exposure is not part of the CSV: the CLI takes it by flags.
 ``csv_rows`` is the grammar shared with the curve and overlay files.
 """
 
@@ -18,6 +18,10 @@ _OVERLAP_TOL = 1e-9
 # Most points any generated grid (bin centers, correlation lengths) may have;
 # the count is checked before the grid is built.
 MAX_GRID_POINTS = 10 ** 6
+# Most trials a coverage study may run.  At about 7700 trials per second on
+# one CPU (3000-trial studies at alpha 1000, either route), 10**6 trials take
+# about two minutes; the count is checked before any trial is set up.
+MAX_TRIALS = 10 ** 6
 
 
 def check_grid_size(n, what: str) -> None:
@@ -110,19 +114,19 @@ class RangeSelection:
             raise ValidationError(f"min_counts must be >= 0, got {self.min_counts}")
 
 
-def read_text(path, error=ValidationError) -> str:
+def read_text(path) -> str:
     """The text of an input file: UTF-8, a leading byte-order mark dropped,
     CRLF and CR line ends made LF.
 
-    A byte that is not UTF-8 raises ``error`` naming the file and the
-    byte's offset in it; OSError propagates to the caller.
+    A byte that is not UTF-8 raises SpectrumFormatError naming the file and
+    the byte's offset in it; OSError propagates to the caller.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: {exc}") from None
+        raise SpectrumFormatError(f"{path}: {exc}") from None
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -140,7 +144,7 @@ def csv_rows(path, header: str, n_fields: int, convert):
     SpectrumFormatError naming the file and line.
     """
     header_seen = False
-    for lineno, raw in enumerate(read_text(path, SpectrumFormatError).split("\n"), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

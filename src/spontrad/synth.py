@@ -17,8 +17,8 @@ from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
 from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
 from .constants import CHI2_MIN_COUNTS, METHODS
 from .errors import InsufficientDataError, ValidationError
-from .spectrum import (BinnedSpectrum, EnergyBin, RangeSelection, center_grid, select,
-                       total_counts)
+from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, center_grid,
+                       select, total_counts)
 
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
@@ -260,6 +260,8 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
     if not 0.0 < confidence < 1.0:

@@ -6,12 +6,16 @@ import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import spontrad.cli
+import spontrad.synth
+from spontrad.constants import IGEX_EXPOSURE
 from spontrad.errors import NumericalError
 from spontrad.scan import load_curves
-from spontrad.spectrum import MAX_GRID_POINTS
+from spontrad.spectrum import MAX_GRID_POINTS, MAX_TRIALS
 
 BAYES_LAMBDA_MP = 7.006202483028229e-12
 CHI2_LAMBDA_MP = 8.097029465934479e-12
@@ -58,15 +62,6 @@ class TestFit:
         assert r.code == 0
         assert r.out == ""
         assert json.loads(out.read_text())["alpha_hat"] == pytest.approx(100.0)
-
-
-    def test_config_flag_is_not_accepted(self, run_cli, data_dir, tmp_path):
-        # fit uses no physical constants, so a config file has nothing to set.
-        cfg = tmp_path / "physics.cfg"
-        cfg.write_text("exposure_kg_day = 80\n")
-        with pytest.raises(SystemExit) as exc:
-            run_cli("fit", "--input", data_dir / "synth_igex_like.csv", "--config", cfg)
-        assert exc.value.code == 2
 
 
 class TestLimit:
@@ -130,30 +125,27 @@ class TestLimit:
         ratio = chi2["lambda_upper_s_inv"] / bayes["lambda_upper_s_inv"]
         assert 0.75 < ratio < 1.25
 
-    def test_config_file_rescales_limit(self, run_cli, tmp_path):
-        cfg = tmp_path / "four.cfg"
-        cfg.write_text("electrons_per_atom = 4\n")
-        base = run_cli("limit", "--method", "bayes", "--y-total", 130,
-                       "--bins", "15:48:1").json
-        four = run_cli("limit", "--method", "bayes", "--y-total", 130,
-                       "--bins", "15:48:1", "--config", cfg).json
-        assert four["lambda_upper_s_inv"] == pytest.approx(
-            base["lambda_upper_s_inv"] * 30.0 / 4.0, rel=1e-12)
+    @pytest.mark.parametrize("flag,value,scale", [
+        ("--atoms-per-kg", 4.145e24, 2.0),
+        ("--exposure-kg-day", 40, 2.0),
+        ("--electrons-per-atom", 4, 30.0 / 4.0),
+    ])
+    def test_exposure_flag_rescales_limit(self, run_cli, flag, value, scale):
+        # The limit is inversely proportional to each exposure factor.
+        base = run_cli(*LIMIT_SHORTCUT).json
+        scaled = run_cli(*LIMIT_SHORTCUT, flag, value).json
+        assert scaled["lambda_upper_s_inv"] == pytest.approx(
+            base["lambda_upper_s_inv"] * scale, rel=1e-12)
 
-    def test_flag_overrides_config_file(self, run_cli, tmp_path):
-        cfg = tmp_path / "four.cfg"
-        cfg.write_text("electrons_per_atom = 4\n")
-        r = run_cli("limit", "--method", "bayes", "--y-total", 130,
-                    "--bins", "15:48:1", "--config", cfg,
-                    "--electrons-per-atom", 30).json
-        base = run_cli("limit", "--method", "bayes", "--y-total", 130,
-                       "--bins", "15:48:1").json
-        assert r == base
+    def test_exposure_flags_default_to_the_igex_exposure(self, run_cli):
+        r = run_cli(*LIMIT_SHORTCUT, "--atoms-per-kg", IGEX_EXPOSURE.atoms_per_kg,
+                    "--exposure-kg-day", IGEX_EXPOSURE.exposure_kg_day,
+                    "--electrons-per-atom", IGEX_EXPOSURE.electrons_per_atom)
+        assert r.json == run_cli(*LIMIT_SHORTCUT).json
+        assert r.json["lambda_upper_s_inv"] == BAYES_LAMBDA_MP
 
-    def test_flag_does_not_hide_a_bad_config_value(self, run_cli, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("electrons_per_atom = -4\n")
-        r = run_cli(*LIMIT_SHORTCUT, "--config", cfg, "--electrons-per-atom", 30)
+    def test_non_positive_exposure_flag_exits_2(self, run_cli):
+        r = run_cli(*LIMIT_SHORTCUT, "--electrons-per-atom", -4)
         assert (r.code, r.out) == (2, "")
         assert r.error["error"]["message"] == (
             "electrons_per_atom must be positive and finite, got -4.0")
@@ -165,8 +157,6 @@ SPECTRUM = "center_keV,width_keV,counts\n15.0,1.0,3\n16.0,1.0,5\n17.0,1.0,4\n"
 TINY_SPECTRUM = "center_keV,width_keV,counts\n1e-300,1e-300,6\n2e-300,1e-300,7\n"
 TINY_MESSAGE = ("bin at 1e-300 keV with 6 counts: its fit weight 1/(counts * E^2) "
                 "is beyond the float range")
-REMOVED_KEYS = ("fine_structure_constant", "hbar_c_mev_fm", "proton_mass_mev",
-                "electron_mass_mev", "avogadro", "seconds_per_day")
 LIMIT_SHORTCUT = ("limit", "--y-total", 130, "--bins", "15:48:1")
 TINY_CL = ("--cl", 1e-320)
 # An integer past the float range: 10**400 has 1329 bits, 2**1024 is the limit.
@@ -176,13 +166,6 @@ HUGE_MESSAGE = "{tmp}/in.csv:3: count of 1329 bits is beyond the float range"
 
 # (id, input files written to tmp, argv with {tmp}, exit code, message of a failure)
 EDGE_CASES = [
-    *((f"removed-key-{key}", {"in.cfg": f"{key} = 1\n"},
-       (*LIMIT_SHORTCUT, "--config", "{tmp}/in.cfg"), 2,
-       f"{{tmp}}/in.cfg:1: unknown key '{key}'; "
-       "known keys: atoms_per_kg, exposure_kg_day, electrons_per_atom")
-      for key in REMOVED_KEYS),
-    ("bom-config", {"in.cfg": BOM + "electrons_per_atom = 4\n"},
-     (*LIMIT_SHORTCUT, "--config", "{tmp}/in.cfg"), 0, None),
     ("bom-spectrum", {"in.csv": BOM + SPECTRUM}, ("limit", "--input", "{tmp}/in.csv"), 0, None),
     ("bom-overlay", {"in.csv": BOM + "r_c_m,lambda_s_inv\n1e-8,1e-12\n"},
      ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
@@ -215,6 +198,51 @@ EDGE_CASES = [
     ("tiny-centers-limit-chi2", {"in.csv": TINY_SPECTRUM},
      ("limit", "--method", "chi2", "--input", "{tmp}/in.csv", "--emin", 0), 2, TINY_MESSAGE),
 ]
+
+
+# None leaves the flag at its default.
+EXPOSURE_VALUES = (None, "1", "1e-300", "1e300", "5e-324", "1.7e308", "0", "-0.0", "-1", "inf")
+EXPOSURE_COMMANDS = {
+    "limit-bayes": LIMIT_SHORTCUT,
+    "limit-chi2": ("limit", "--method", "chi2", "--alpha-upper", 143),
+    "scan-bayes": ("scan", *LIMIT_SHORTCUT[1:], "--grid", "1e-9:1e-3:5"),
+    "scan-chi2": ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5"),
+}
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestExposureFlags:
+    # run_cli keeps no state between calls, and each example writes to a
+    # fresh directory, so sharing the fixtures across examples is safe.
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(EXPOSURE_COMMANDS)),
+           values=st.lists(st.sampled_from(EXPOSURE_VALUES), min_size=3, max_size=3))
+    @example(command="limit-bayes", values=[None, "5e-324", None])  # exit 4
+    @example(command="scan-chi2", values=["1", "1e-300", "1e300"])  # exit 0
+    def test_any_exposure_exits_0_2_or_4(self, run_cli, schemas, tmp_path_factory, command,
+                                         values):
+        tmp = tmp_path_factory.mktemp("exposure")
+        out = tmp / "out"
+        names = ("atoms-per-kg", "exposure-kg-day", "electrons-per-atom")
+        flags = [f"--{name}={value}" for name, value in zip(names, values)
+                 if value is not None]
+        r = run_cli(*EXPOSURE_COMMANDS[command], *flags, "--out", out)
+        assert r.code in (0, 2, 4)
+        assert r.out == ""
+        if r.code:
+            jsonschema.validate(strict_json(r.err), schemas["error"])
+            assert list(tmp.iterdir()) == []
+        elif command.startswith("limit"):
+            jsonschema.validate(strict_json(out.read_text()), schemas["limit_result"])
+        else:
+            assert len(load_curves(out)) == 2
 
 
 class TestLargeCounts:
@@ -326,11 +354,10 @@ class TestExitCodes:
         (mark, argv) for mark in ("", BOM) for argv in [
             ("fit", "--input", "{bad}"),
             ("limit", "--input", "{bad}"),
-            ("limit", "--y-total", 130, "--bins", "15:48:1", "--config", "{bad}"),
             ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
              "--out", "{tmp}/c.csv", "--svg", "{tmp}/p.svg", "--overlay", "{bad}"),
         ]], ids=[name + suffix for suffix in ("", "-after-mark")
-                 for name in ("fit-input", "limit-input", "limit-config", "scan-overlay")])
+                 for name in ("fit-input", "limit-input", "scan-overlay")])
     def test_non_utf8_file_exits_2(self, run_cli, schemas, tmp_path, mark, argv):
         # The position is the bad byte's offset in the file, a byte-order mark included.
         bad = tmp_path / "bad.csv"
@@ -350,7 +377,7 @@ class TestExitCodes:
                              ids=[case[0] for case in EDGE_CASES])
     def test_edge_inputs_exit_0_or_2(self, run_cli, schemas, tmp_path, files, argv, code,
                                      message):
-        # Removed config keys, files with a byte-order mark, a confidence
+        # Files with a byte-order mark, a confidence
         # near the smallest float and bin centers whose fit weights underflow.
         for name, text in files.items():
             (tmp_path / name).write_bytes(text.encode("utf-8"))
@@ -484,6 +511,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("limit", "--method", "wat")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ("fit", "--input", "{data}/synth_igex_like.csv"),
+        ("limit", *LIMIT_SHORTCUT[1:]),
+        ("scan", "--method", "chi2", "--alpha-upper", 143, "--out", "{tmp}/c.csv"),
+    ], ids=["fit", "limit", "scan"])
+    @pytest.mark.parametrize("flag", ["--config", "--fine-structure-constant",
+                                      "--proton-mass-mev", "--seconds-per-day"])
+    def test_only_the_exposure_flags_set_physics(self, run_cli, data_dir, tmp_path, command,
+                                                 flag):
+        # The exposure comes from flags only: there is no config file, and
+        # the physical constants are fixed.
+        argv = [str(a).format(data=data_dir, tmp=tmp_path) for a in command]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, flag, tmp_path / "physics.cfg")
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynth:
@@ -636,6 +680,28 @@ class TestScan:
         assert out.stat().st_mode == fresh.stat().st_mode
         assert sorted(tmp_path.iterdir()) == [out, fresh, svg]
 
+    @pytest.mark.parametrize("svg,code", [("p.svg", 0), ("nodir/p.svg", 3)],
+                             ids=["success", "failure"])
+    def test_a_users_tmp_file_beside_out_is_left_alone(self, run_cli, tmp_path, svg, code):
+        out, mine = tmp_path / "c.csv", tmp_path / "c.csv.tmp"
+        mine.write_text("mine\n")
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5",
+                    "--out", out, "--svg", tmp_path / svg)
+        assert r.code == code
+        assert mine.read_text() == "mine\n"
+        written = [out, tmp_path / svg] if code == 0 else []
+        assert sorted(tmp_path.iterdir()) == sorted([mine, *written])
+
+    def test_out_in_a_missing_directory_names_out(self, run_cli, tmp_path, schemas):
+        out = tmp_path / "nodir" / "c.csv"
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5",
+                    "--out", out)
+        assert (r.code, r.out) == (3, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {
+            "type": "io", "message": f"[Errno 2] No such file or directory: '{out}'"}
+        assert list(tmp_path.iterdir()) == []
+
     def test_input_spectrum_is_loaded_once(self, run_cli, tmp_path, data_dir, monkeypatch):
         loads = []
         load = spontrad.cli.load_spectrum
@@ -664,6 +730,20 @@ class TestScan:
 
 
 class TestCoverage:
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10 ** 18])
+    def test_trials_above_the_cap_exit_2_before_any_setup(self, run_cli, schemas,
+                                                          monkeypatch, trials):
+        def unexpected(config):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(spontrad.synth, "_checked_bins", unexpected)
+        r = run_cli("coverage", "--alpha", 115, "--trials", trials)
+        assert (r.code, r.out) == (2, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {
+            "type": "validation",
+            "message": f"{trials} trials exceed the limit of {MAX_TRIALS}"}
+
     def test_report_schema_and_determinism(self, run_cli, schemas):
         args = ("coverage", "--alpha", 115, "--seed", 3, "--trials", 40)
         a = run_cli(*args)

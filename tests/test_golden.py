@@ -26,7 +26,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 INPUTS = {
     "boundary.csv": "r_c_m,lambda_s_inv\n1e-8,1e-12\n1e-6,1e-8\n",
-    "physics.cfg": "exposure_kg_day = 80\nelectrons_per_atom = 4\n",
 }
 
 SMALL_GRID = ("--grid", "1e-9:1e-3:13")
@@ -57,7 +56,7 @@ CASES = [
     *((name, argv, 0, ()) for name, argv in _limit_cases()),
     ("limit-bayes-options",
      ("limit", "--y-total", "400", "--bins", "10:60:2", "--cl", "0.9", "--r-c", "3e-8",
-      "--config", "{tmp}/physics.cfg", "--electrons-per-atom", "6"), 0, ()),
+      "--exposure-kg-day", "80", "--electrons-per-atom", "6"), 0, ()),
     ("limit-chi2-window",
      ("limit", "--method", "chi2", "--input", "{data}/synth_igex_like.csv",
       "--emin", "20", "--emax", "40", "--min-counts", "3", "--cl", "0.99"), 0, ()),

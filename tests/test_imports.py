@@ -5,6 +5,7 @@ The module-loading checks run in a fresh interpreter and look at
 ``sys.modules``, so what an earlier test imported does not leak in.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -44,14 +45,14 @@ def loaded_by(*argv) -> set:
 
 @pytest.mark.parametrize("argv,absent", [
     (("fit", "--input", DATA / "synth_igex_like.csv"),
-     {"scan", "svg", "synth", "config", "model"}),
+     {"scan", "svg", "synth", "model"}),
     (("limit", "--y-total", 130, "--bins", "15:48:1"), {"scan", "svg", "synth", "model"}),
     (("limit", "--method", "chi2", "--input", DATA / "synth_igex_like.csv"),
      {"scan", "svg", "synth"}),
-    (("coverage", "--alpha", 115, "--trials", 10), {"scan", "svg", "config", "model"}),
+    (("coverage", "--alpha", 115, "--trials", 10), {"scan", "svg", "model"}),
     (("coverage", "--method", "chi2", "--alpha", 115, "--trials", 10),
-     {"scan", "svg", "config", "model"}),
-    (("synth", "--alpha", 115), {"scan", "svg", "config", "model"}),
+     {"scan", "svg", "model"}),
+    (("synth", "--alpha", 115), {"scan", "svg", "model"}),
     (("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
       "--out", "{tmp}/c.csv", "--svg", "{tmp}/c.svg"), {"synth"}),
     (("scan", "--y-total", 130, "--bins", "15:48:1", "--grid", "1e-9:1e-3:5",
@@ -80,6 +81,15 @@ for name in spontrad.__all__:
 print("ok")
 """)
     assert result.stdout == "ok\n", result.stderr
+
+
+def test_config_file_names_are_gone():
+    # The exposure is set by flags only; the config-file parser is removed.
+    assert importlib.util.find_spec("spontrad.config") is None
+    for name in ("load_config", "parse_config_text"):
+        assert name not in spontrad.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(spontrad, name)
 
 
 def test_submodule_import_keeps_the_public_function():
