@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, schemas, exit codes, artifacts."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ from scipy import special
 
 import spontrad.cli
 import spontrad.synth
-from spontrad.constants import IGEX_EXPOSURE
+from spontrad.constants import IGEX_EXPOSURE, ExposureConfig
 from spontrad.errors import NumericalError
 from spontrad.scan import load_curves
 from spontrad.spectrum import MAX_GRID_POINTS, MAX_TRIALS
@@ -143,6 +144,13 @@ class TestLimit:
                     "--electrons-per-atom", IGEX_EXPOSURE.electrons_per_atom)
         assert r.json == run_cli(*LIMIT_SHORTCUT).json
         assert r.json["lambda_upper_s_inv"] == BAYES_LAMBDA_MP
+
+    @pytest.mark.parametrize("argv", [["limit"], ["scan", "--out", "curves.csv"]],
+                             ids=["limit", "scan"])
+    def test_each_exposure_field_has_a_flag_defaulting_to_igex(self, argv):
+        args = spontrad.cli.build_parser().parse_args(argv)
+        assert {f.name: getattr(args, f.name) for f in dataclasses.fields(ExposureConfig)} == (
+            dataclasses.asdict(IGEX_EXPOSURE))
 
     def test_non_positive_exposure_flag_exits_2(self, run_cli):
         r = run_cli(*LIMIT_SHORTCUT, "--electrons-per-atom", -4)
@@ -579,6 +587,18 @@ class TestScan:
         mp = next(c for c in curves
                   if c.coupling.value == "mass-prop")
         assert mp.points[0] == (1e-7, limit["lambda_upper_s_inv"])
+
+    def test_exposure_flag_rescales_curves(self, run_cli, tmp_path):
+        # Halving the exposure doubles every point of both curves.
+        argv = ("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5")
+        run_cli(*argv, "--out", tmp_path / "base.csv")
+        assert run_cli(*argv, "--exposure-kg-day", 40, "--out", tmp_path / "half.csv").code == 0
+        for base, half in zip(load_curves(tmp_path / "base.csv"),
+                              load_curves(tmp_path / "half.csv")):
+            assert base.coupling == half.coupling
+            assert [r for r, _ in half.points] == [r for r, _ in base.points]
+            assert [lam for _, lam in half.points] == pytest.approx(
+                [2.0 * lam for _, lam in base.points], rel=1e-12)
 
     def test_row_count_default_grid(self, run_cli, tmp_path):
         out = tmp_path / "default.csv"

@@ -83,6 +83,15 @@ def test_exposure_validation():
         ExposureConfig(atoms_per_kg=math.inf)
 
 
+@pytest.mark.parametrize("field", ["atoms_per_kg", "exposure_kg_day", "electrons_per_atom"])
+@pytest.mark.parametrize("value", [0.0, -4.0, math.inf, math.nan, "80"])
+def test_exposure_rejects_each_field_outside_its_domain(field, value):
+    # The only check on these values: the CLI flags and library callers meet it.
+    with pytest.raises(ValidationError) as info:
+        ExposureConfig(**{field: value})
+    assert str(info.value) == f"{field} must be positive and finite, got {value}"
+
+
 def test_historical_limits_catalog():
     assert HISTORICAL_LAMBDA_LIMITS["fu-twin-mass-prop"] == 2.20e-10
     assert HISTORICAL_LAMBDA_LIMITS["fu-twin-non-mass-prop"] == 0.55e-16
