@@ -25,11 +25,10 @@ _EXPORTS = {
               "lambda_credible_limit", "posterior_spec", "reg_inc_gamma"),
     "chi2fit": ("FitResult", "alpha_upper_limit", "fit_alpha", "normal_quantile"),
     "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "HISTORICAL_LAMBDA_LIMITS",
-                  "IGEX_EXPOSURE", "PhysicalConstants", "coupling_mass_energy",
+                  "IGEX_EXPOSURE", "PhysicalConstants", "conversion", "coupling_mass_energy",
                   "dimensionless_coupling", "exposure_factor"),
     "errors": ("InsufficientDataError", "NumericalError", "SelectionEmptyError",
                "SpectrumFormatError", "SpontradError", "ValidationError"),
-    "model": ("lambda_from_alpha",),
     "scan": ("ExclusionCurve", "ReferencePoint", "builtin_reference_points", "load_curves",
              "load_overlay_boundary", "log_grid", "save_curves", "scan"),
     "spectrum": ("BinnedSpectrum", "EnergyBin", "RangeSelection", "load_spectrum",

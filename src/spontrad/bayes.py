@@ -15,8 +15,7 @@ import operator
 from dataclasses import dataclass
 
 from .backend import kernels
-from .constants import (ExposureConfig, IGEX_EXPOSURE, coupling_mass_energy,
-                        dimensionless_coupling, exposure_factor)
+from .constants import ExposureConfig, IGEX_EXPOSURE, check_confidence, conversion
 from .errors import NumericalError, ValidationError
 from .spectrum import check_float_range
 
@@ -94,17 +93,14 @@ class CredibleLimit:
     def __post_init__(self):
         if not self.lambda_upper >= 0:
             raise ValidationError(f"lambda_upper must be >= 0, got {self.lambda_upper}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence}")
+        check_confidence(self.confidence)
 
 
 def posterior_spec(y_total: int, bins, r_c: float, coupling,
                    exposure: ExposureConfig = IGEX_EXPOSURE) -> PosteriorSpec:
     """Assemble the posterior inputs for a measured total count and bin grid."""
-    conversion = (exposure_factor(exposure)
-                  * dimensionless_coupling(coupling_mass_energy(coupling), r_c))
     return PosteriorSpec(y_total=y_total, harmonic_sum=harmonic_sum(bins),
-                         conversion=conversion)
+                         conversion=conversion(coupling, r_c, exposure))
 
 
 def lambda_credible_limit(spec: PosteriorSpec, confidence: float) -> CredibleLimit:
@@ -117,8 +113,7 @@ def lambda_credible_limit(spec: PosteriorSpec, confidence: float) -> CredibleLim
     small y (for y ~ 100, P(y+1, 1) underflows to 0 and the renormalization
     is a no-op).
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
+    check_confidence(confidence)
     shape = spec.y_total + 1.0
     base = reg_inc_gamma(shape, 1.0)
     if base >= 1.0:

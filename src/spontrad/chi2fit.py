@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .backend import kernels
+from .constants import check_confidence
 from .errors import InsufficientDataError, ValidationError
 from .spectrum import BinnedSpectrum
 
@@ -108,6 +109,5 @@ def normal_quantile(p: float) -> float:
 
 def alpha_upper_limit(fit: FitResult, confidence: float) -> float:
     """One-sided Gaussian upper bound on alpha at the given confidence."""
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
+    check_confidence(confidence)
     return fit.alpha_hat + normal_quantile(confidence) * fit.sigma_alpha

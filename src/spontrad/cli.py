@@ -7,8 +7,8 @@ object to stderr and exit with 2 (validation), 3 (I/O) or 4 (numerical
 non-convergence); argparse keeps its usual usage-error behavior.
 
 The modules that only some commands use are imported where they run:
-scan, svg and synth by their commands, model on the chi2 route of limit
-and scan.  A fit process loads none of them.
+scan, svg and synth by their commands.  A fit or limit process loads none
+of them.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import sys
 from .bayes import lambda_credible_limit, posterior_spec
 from .chi2fit import alpha_upper_limit, fit_alpha
 from .constants import (CHI2_MIN_COUNTS, IGEX_EXPOSURE, METHODS, CouplingMode, ExposureConfig,
-                        exposure_factor)
+                        check_confidence, conversion)
 from .errors import NumericalError, ValidationError
 from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
                        load_spectrum, save_spectrum, select)
@@ -137,8 +137,8 @@ def _limit_route(args, exposure):
     if given is not None:
         if not bayes and not given >= 0:
             raise ValidationError(f"--alpha-upper must be >= 0, got {given}")
-        if not bayes and not 0.0 < args.cl < 1.0:  # the shortcut only echoes --cl
-            raise ValidationError(f"confidence must be in (0, 1), got {args.cl}")
+        if not bayes:  # the shortcut only echoes --cl
+            check_confidence(args.cl)
         if args.input:
             raise ValidationError(f"--input and {shortcut} are two inputs; give one")
         for flag, value in (("--emin", args.emin), ("--emax", args.emax),
@@ -152,39 +152,27 @@ def _limit_route(args, exposure):
             bins = list(_selected_input(args, 0).bins)
             y = sum(b.counts for b in bins)
 
-        def bayes_payload(coupling: CouplingMode) -> dict:
+        def rate(coupling: CouplingMode) -> tuple:
             spec = posterior_spec(y, bins, args.r_c, coupling, exposure=exposure)
-            limit = lambda_credible_limit(spec, args.cl)
-            return {
-                "lambda_upper_s_inv": limit.lambda_upper,
-                "confidence": limit.confidence,
-                "coupling": coupling.value,
-                "r_c_m": args.r_c,
-                "y_total": y,
-                "harmonic_sum": spec.harmonic_sum,
-                "method": "bayes",
-            }
-        return bayes_payload
+            lam = lambda_credible_limit(spec, args.cl).lambda_upper
+            return lam, {"y_total": y, "harmonic_sum": spec.harmonic_sum}
+    else:
+        alpha_upper = given
+        if alpha_upper is None:
+            alpha_upper = alpha_upper_limit(_chi2_fit(args), args.cl)
+            if not alpha_upper >= 0:
+                raise ValidationError(f"alpha_upper {alpha_upper} from the fit at --cl {args.cl} "
+                                      "must be >= 0; give a higher --cl")
 
-    alpha_upper = given
-    if alpha_upper is None:
-        alpha_upper = alpha_upper_limit(_chi2_fit(args), args.cl)
-        if not alpha_upper >= 0:
-            raise ValidationError(f"alpha_upper {alpha_upper} from the fit at --cl {args.cl} "
-                                  "must be >= 0; give a higher --cl")
-    from .model import lambda_from_alpha
+        def rate(coupling: CouplingMode) -> tuple:
+            return alpha_upper / conversion(coupling, args.r_c, exposure), {
+                "alpha_upper": alpha_upper}
 
-    def chi2_payload(coupling: CouplingMode) -> dict:
-        lam = lambda_from_alpha(alpha_upper, args.r_c, coupling, exposure_factor(exposure))
-        return {
-            "lambda_upper_s_inv": lam,
-            "confidence": args.cl,
-            "coupling": coupling.value,
-            "r_c_m": args.r_c,
-            "alpha_upper": alpha_upper,
-            "method": "chi2",
-        }
-    return chi2_payload
+    def payload(coupling: CouplingMode) -> dict:
+        lam, route_fields = rate(coupling)
+        return {"lambda_upper_s_inv": lam, "confidence": args.cl, "coupling": coupling.value,
+                "r_c_m": args.r_c, **route_fields, "method": args.method}
+    return payload
 
 
 def cmd_limit(args) -> int:

@@ -30,6 +30,19 @@ CODATA2018 = PhysicalConstants()
 
 # Limit constructions: chi-square fit or Poisson-count posterior.
 METHODS = ("chi2", "bayes")
+
+
+def check_method(method) -> None:
+    """Reject a limit construction not in METHODS."""
+    if method not in METHODS:
+        raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
+
+
+def check_confidence(confidence) -> None:
+    """Reject a confidence or credibility level outside (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
+
 # Fewest counts a bin needs to enter a chi-square fit (its variance is its count).
 CHI2_MIN_COUNTS = 5
 
@@ -101,6 +114,21 @@ def exposure_factor(config: ExposureConfig) -> float:
     """Electron-seconds of exposure: plain product of the factors and SECONDS_PER_DAY."""
     return (config.atoms_per_kg * config.exposure_kg_day
             * SECONDS_PER_DAY * config.electrons_per_atom)
+
+
+def conversion(coupling: CouplingMode, r_c: float,
+               exposure: ExposureConfig = IGEX_EXPOSURE) -> float:
+    """Fit amplitude (counts keV) per unit collapse rate (1/s) at r_c meters.
+
+    The per-electron emission density is lambda * D / E with
+    D = dimensionless_coupling(mass, r_c); over the exposure's electron-seconds
+    c it gives the amplitude alpha = c * D * lambda, the expected counts in a
+    1 keV bin at energy E being alpha / E.  Both limit routes divide by c * D.
+    """
+    value = exposure_factor(exposure) * dimensionless_coupling(coupling_mass_energy(coupling), r_c)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"conversion must be positive and finite, got {value}")
+    return value
 
 
 # Earlier published collapse-rate bounds at r_C = 1e-7 m, from Ge slab emission

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
-from .constants import METHODS, CouplingMode
+from .constants import CouplingMode, check_confidence, check_method
 from .errors import ValidationError
 from .spectrum import check_grid_size, csv_rows, headed_csv_rows
 
@@ -53,10 +53,8 @@ class ExclusionCurve:
     def __post_init__(self):
         points = tuple((float(r), float(lam)) for r, lam in self.points)
         object.__setattr__(self, "points", points)
-        if self.method not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence}")
+        check_method(self.method)
+        check_confidence(self.confidence)
         if not points:
             raise ValidationError("exclusion curve needs at least one point")
         for i, (r, lam) in enumerate(points):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .backend import kernels
 from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
 from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
-from .constants import CHI2_MIN_COUNTS, METHODS
+from .constants import CHI2_MIN_COUNTS, check_confidence, check_method
 from .errors import InsufficientDataError, ValidationError
 from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, center_grid,
                        select, total_counts)
@@ -83,10 +83,8 @@ class CoverageReport:
         if not 0 <= self.covered <= self.trials:
             raise ValidationError(
                 f"covered must be in [0, {self.trials}], got {self.covered}")
-        if self.method not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValidationError(f"confidence must be in (0, 1), got {self.confidence}")
+        check_method(self.method)
+        check_confidence(self.confidence)
         if self.skipped < 0:
             raise ValidationError(f"skipped must be >= 0, got {self.skipped}")
 
@@ -168,15 +166,13 @@ def alpha_limit_for_trial(spectrum: BinnedSpectrum, config: SynthConfig,
     expected-count quantile back to amplitude via the harmonic sum alone;
     no detector conversion enters, both routes bound the same alpha.
     """
+    check_method(method)
     if method == "chi2":
         sel = RangeSelection(e_min=config.e_min, e_max=config.e_max,
                              min_counts=CHI2_MIN_COUNTS)
         fit = fit_alpha(select(spectrum, sel))
         return alpha_upper_limit(fit, confidence)
-    if method == "bayes":
-        return _bayes_limit(total_counts(spectrum), harmonic_sum(spectrum.bins),
-                            confidence)
-    raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
+    return _bayes_limit(total_counts(spectrum), harmonic_sum(spectrum.bins), confidence)
 
 
 def _usable_cpus() -> int:
@@ -262,10 +258,8 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:
         raise ValidationError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
-    if method not in METHODS:
-        raise ValidationError(f"method must be one of {METHODS}, got {method!r}")
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError(f"confidence must be in (0, 1), got {confidence}")
+    check_method(method)
+    check_confidence(confidence)
     bins = _checked_bins(config)
     means = _checked_means(config)
     centers = [b.center for b in bins]

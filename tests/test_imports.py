@@ -45,18 +45,18 @@ def loaded_by(*argv) -> set:
 
 @pytest.mark.parametrize("argv,absent", [
     (("fit", "--input", DATA / "synth_igex_like.csv"),
-     {"scan", "svg", "synth", "model"}),
-    (("limit", "--y-total", 130, "--bins", "15:48:1"), {"scan", "svg", "synth", "model"}),
+     {"scan", "svg", "synth"}),
+    (("limit", "--y-total", 130, "--bins", "15:48:1"), {"scan", "svg", "synth"}),
     (("limit", "--method", "chi2", "--input", DATA / "synth_igex_like.csv"),
      {"scan", "svg", "synth"}),
-    (("coverage", "--alpha", 115, "--trials", 10), {"scan", "svg", "model"}),
+    (("coverage", "--alpha", 115, "--trials", 10), {"scan", "svg"}),
     (("coverage", "--method", "chi2", "--alpha", 115, "--trials", 10),
-     {"scan", "svg", "model"}),
-    (("synth", "--alpha", 115), {"scan", "svg", "model"}),
+     {"scan", "svg"}),
+    (("synth", "--alpha", 115), {"scan", "svg"}),
     (("scan", "--method", "chi2", "--alpha-upper", 143, "--grid", "1e-9:1e-3:5",
       "--out", "{tmp}/c.csv", "--svg", "{tmp}/c.svg"), {"synth"}),
     (("scan", "--y-total", 130, "--bins", "15:48:1", "--grid", "1e-9:1e-3:5",
-      "--out", "{tmp}/c.csv"), {"synth", "svg", "model"}),
+      "--out", "{tmp}/c.csv"), {"synth", "svg"}),
 ], ids=["fit", "limit-bayes", "limit-chi2", "coverage", "coverage-chi2", "synth", "scan",
         "scan-csv"])
 def test_command_leaves_unused_modules_unloaded(argv, absent, tmp_path):
