@@ -170,6 +170,9 @@ def _limit_route(args, exposure):
 
     def payload(coupling: CouplingMode) -> dict:
         lam, route_fields = rate(coupling)
+        # Checked here, so that scan stops as limit does rather than draw an inf.
+        if not math.isfinite(lam):
+            raise NumericalError("result out of the float range: lambda_upper_s_inv")
         return {"lambda_upper_s_inv": lam, "confidence": args.cl, "coupling": coupling.value,
                 "r_c_m": args.r_c, **route_fields, "method": args.method}
     return payload
@@ -182,11 +185,11 @@ def cmd_limit(args) -> int:
     return 0
 
 
-def _reserve_beside(path) -> str:
+def _reserve_beside(path, shown) -> str:
     """Create an empty file of a new name in path's directory; return the name.
 
     The file is made by a plain open(), so it has the mode any new file
-    gets, and keeps it when it replaces path.  An OSError names path.
+    gets, and keeps it when it replaces path.  An OSError names shown.
     """
     while True:
         name = f"{path}.{os.urandom(8).hex()}.tmp"
@@ -196,7 +199,14 @@ def _reserve_beside(path) -> str:
         except FileExistsError:
             continue
         except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
+            raise OSError(exc.errno, exc.strerror, str(shown)) from None
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is missing: compare where they would be made
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def cmd_scan(args) -> int:
@@ -204,6 +214,8 @@ def cmd_scan(args) -> int:
 
     if args.overlay and not args.svg:
         raise ValidationError("--overlay is drawn on the --svg plot; give --svg too")
+    if args.svg and _same_file(args.svg, args.out):
+        raise ValidationError("--svg and --out name the same file; give two paths")
     exposure = _physics_inputs(args)
     grid = _parse_grid(args.grid)
     payload = _limit_route(args, exposure)
@@ -212,20 +224,25 @@ def cmd_scan(args) -> int:
               for coupling in CouplingMode]
     # Read before anything is written, so a bad overlay leaves no --out file.
     overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
-    # The curves go to a file beside --out that replaces it once the plot is
-    # drawn, so a run that fails leaves --out as it was, or absent.
-    partial = _reserve_beside(args.out)
+    # The curves go to a file beside --out (beside its target, for a symlink)
+    # that replaces it once the plot is drawn, so a run that fails leaves
+    # --out as it was, or absent.  A FIFO, device or directory is not
+    # replaced: the curves are written to it in place.
+    target = os.path.realpath(args.out)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    partial = None if in_place else _reserve_beside(target, args.out)
     try:
-        save_curves(curves, partial)
+        save_curves(curves, args.out if in_place else partial)
         if args.svg:
             from .svg import save_exclusion_svg
 
             save_exclusion_svg(args.svg, curves,
                                references=builtin_reference_points(), overlay=overlay,
                                title="collapse-rate exclusion from X-ray emission")
-        os.replace(partial, args.out)
+        if partial:
+            os.replace(partial, target)
     except BaseException:
-        if os.path.exists(partial):
+        if partial and os.path.exists(partial):
             os.remove(partial)
         raise
     return 0

@@ -9,6 +9,7 @@ The exposure is not part of the CSV: the CLI takes it by flags.
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .errors import (SelectionEmptyError, SpectrumFormatError, ValidationError)
 
@@ -22,6 +23,12 @@ MAX_GRID_POINTS = 10 ** 6
 # one CPU (3000-trial studies at alpha 1000, either route), 10**6 trials take
 # about two minutes; the count is checked before any trial is set up.
 MAX_TRIALS = 10 ** 6
+# Most bytes read from an input file: room for 10**6 spectrum rows of up to
+# 64 characters.  At most one byte more is read to tell a file is larger.
+MAX_INPUT_BYTES = 64 * 2 ** 20
+# Most rows a spectrum file may hold; row MAX_SPECTRUM_ROWS + 1 is rejected
+# before its bin is built.
+MAX_SPECTRUM_ROWS = 10 ** 6
 
 
 def check_grid_size(n, what: str) -> None:
@@ -119,10 +126,13 @@ def read_text(path) -> str:
     CRLF and CR line ends made LF.
 
     A byte that is not UTF-8 raises SpectrumFormatError naming the file and
-    the byte's offset in it; OSError propagates to the caller.
+    the byte's offset in it, a file past MAX_INPUT_BYTES a ValidationError;
+    OSError propagates to the caller.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValidationError(f"{path}: input exceeds the limit of {MAX_INPUT_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -185,7 +195,11 @@ def load_spectrum(path, source_label: str = "") -> BinnedSpectrum:
     malformed rows, ValidationError on invariant breaches, OSError on I/O."""
     rows = headed_csv_rows(path, CSV_HEADER, 3, _bin_fields)
     bins = tuple(EnergyBin(center=center, width=width, counts=counts)
-                 for _, (center, width, counts) in rows)
+                 for _, (center, width, counts) in islice(rows, MAX_SPECTRUM_ROWS))
+    extra = next(rows, None)
+    if extra is not None:
+        raise ValidationError(
+            f"{path}:{extra[0]}: spectrum exceeds the limit of {MAX_SPECTRUM_ROWS} rows")
     return BinnedSpectrum(bins=bins, source_label=source_label or str(path))
 
 

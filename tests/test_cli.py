@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import jsonschema
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import spontrad.cli
+import spontrad.spectrum
 import spontrad.synth
 from spontrad.constants import IGEX_EXPOSURE, ExposureConfig
 from spontrad.errors import NumericalError
@@ -251,6 +254,86 @@ class TestExposureFlags:
             jsonschema.validate(strict_json(out.read_text()), schemas["limit_result"])
         else:
             assert len(load_curves(out)) == 2
+
+
+    def test_limit_and_scan_agree_on_an_overflowing_rate(self, run_cli, tmp_path):
+        # The exposure is so small that the rate overflows to inf.
+        argv = (*LIMIT_SHORTCUT[1:], "--exposure-kg-day", "5e-324")
+        limit = run_cli("limit", *argv)
+        scan = run_cli("scan", *argv, "--grid", "1e-9:1e-3:5", "--out", tmp_path / "c.csv")
+        assert (scan.code, scan.out, scan.err) == (limit.code, limit.out, limit.err)
+        assert limit.code == 4
+        assert limit.error["error"]["message"] == (
+            "result out of the float range: lambda_upper_s_inv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_both_routes_report_an_underflowing_exposure_alike(self, run_cli):
+        tiny = ("--atoms-per-kg", "1e-200", "--exposure-kg-day", "1e-200",
+                "--electrons-per-atom", "1e-200")
+        chi2 = run_cli("limit", "--method", "chi2", "--alpha-upper", 143, *tiny)
+        bayes = run_cli(*LIMIT_SHORTCUT, *tiny)
+        assert (chi2.code, chi2.err) == (bayes.code, bayes.err)
+        assert chi2.error["error"] == {
+            "type": "validation", "message": "conversion must be positive and finite, got 0.0"}
+
+
+class TestInputCaps:
+    """Input files are bounded in bytes and spectrum rows, each a validation
+    error checked before the work it guards; the caps are made small here."""
+
+    def test_file_past_the_byte_cap_exits_2_unread(self, run_cli, schemas, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(spontrad.spectrum, "MAX_INPUT_BYTES", 1000)
+        path = tmp_path / "in.csv"
+        path.write_text("center_keV,width_keV,counts\n" + "#" * 2 ** 22 + "\n")
+        tracemalloc.start()
+        try:
+            r = run_cli("fit", "--input", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (r.code, r.out) == (2, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {
+            "type": "validation",
+            "message": f"{path}: input exceeds the limit of 1000 bytes"}
+        assert peak < 2 ** 20
+
+    def test_file_at_the_byte_cap_is_read(self, tmp_path, monkeypatch):
+        text = "center_keV,width_keV,counts\n15.0,1.0,3\n"
+        monkeypatch.setattr(spontrad.spectrum, "MAX_INPUT_BYTES", len(text))
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert spontrad.spectrum.load_spectrum(path).bins[0].counts == 3
+
+    @pytest.mark.parametrize("rows,code", [(100, 0), (101, 2), (50_000, 2)])
+    def test_rows_past_the_cap_exit_2_before_their_bins(self, run_cli, schemas, tmp_path,
+                                                        monkeypatch, rows, code):
+        monkeypatch.setattr(spontrad.spectrum, "MAX_SPECTRUM_ROWS", 100)
+        monkeypatch.setattr(spontrad.spectrum, "MAX_INPUT_BYTES", 2 ** 20)
+        built = []
+        energy_bin = spontrad.spectrum.EnergyBin
+        monkeypatch.setattr(spontrad.spectrum, "EnergyBin",
+                            lambda **fields: built.append(1) or energy_bin(**fields))
+        path = tmp_path / "in.csv"
+        path.write_text("# comment\ncenter_keV,width_keV,counts\n"
+                        + "".join(f"{15 + i},1,3\n" for i in range(rows)))
+        tracemalloc.start()
+        try:
+            r = run_cli("limit", "--input", path, "--emax", 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.code == code
+        assert len(built) == 100
+        if code:
+            jsonschema.validate(r.error, schemas["error"])
+            assert r.error["error"] == {
+                "type": "validation",
+                "message": f"{path}:103: spectrum exceeds the limit of 100 rows"}
+        # 50,000 rows peaked at 3.9 MB here (the bytes, the text and its
+        # lines); building all their bins peaked at 11 MB.
+        assert peak < 6 * 2 ** 20
 
 
 class TestLargeCounts:
@@ -721,6 +804,65 @@ class TestScan:
         assert r.error["error"] == {
             "type": "io", "message": f"[Errno 2] No such file or directory: '{out}'"}
         assert list(tmp_path.iterdir()) == []
+
+    def test_fifo_out_is_written_in_place(self, run_cli, tmp_path):
+        fifo = tmp_path / "c.csv"
+        os.mkfifo(fifo)
+        # A reader is open first, so opening the FIFO to write does not block.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
+                        "--grid", "1e-9:1e-3:5", "--out", fifo)
+            text = os.read(reader, 2 ** 16).decode()
+        finally:
+            os.close(reader)
+        assert r.code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert text.startswith("r_c_m,lambda_limit_s_inv,coupling,method,confidence\n")
+        assert len(text.splitlines()) == 1 + 2 * 5
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_directory_out_exits_3(self, run_cli, tmp_path, schemas):
+        out = tmp_path / "d"
+        out.mkdir()
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
+                    "--grid", "1e-9:1e-3:5", "--out", out)
+        assert (r.code, r.out) == (3, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {"type": "io", "message": f"[Errno 21] Is a directory: '{out}'"}
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    def test_symlinked_out_replaces_the_file_it_points_to(self, run_cli, tmp_path):
+        real, link = tmp_path / "sub" / "real.csv", tmp_path / "link.csv"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        link.symlink_to(real)
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
+                    "--grid", "1e-9:1e-3:5", "--out", link)
+        assert r.code == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert len(load_curves(real)) == 2
+        assert sorted(tmp_path.rglob("*")) == [link, real.parent, real]
+
+    @pytest.mark.parametrize("svg", ["c.csv", "./c.csv", "link.csv"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_svg_naming_the_out_file_exits_2_unwritten(self, run_cli, tmp_path, schemas,
+                                                       monkeypatch, svg, existing):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("c.csv", "link.csv")
+        if existing:
+            (tmp_path / "c.csv").write_text("old\n")
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
+                    "--grid", "1e-9:1e-3:5", "--out", "c.csv", "--svg", svg)
+        assert (r.code, r.out) == (2, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"]["message"] == (
+            "--svg and --out name the same file; give two paths")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["c.csv", "link.csv"] if existing else ["link.csv"])
+        if existing:
+            assert (tmp_path / "c.csv").read_text() == "old\n"
 
     def test_input_spectrum_is_loaded_once(self, run_cli, tmp_path, data_dir, monkeypatch):
         loads = []
