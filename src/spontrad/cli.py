@@ -229,10 +229,10 @@ def cmd_scan(args) -> int:
     # --out as it was, or absent.  A FIFO, device or directory is not
     # replaced: the curves are written to it in place.
     target = os.path.realpath(args.out)
-    in_place = os.path.exists(target) and not os.path.isfile(target)
-    partial = None if in_place else _reserve_beside(target, args.out)
+    special = os.path.exists(target) and not os.path.isfile(target)
+    partial = None if special else _reserve_beside(target, args.out)
     try:
-        save_curves(curves, args.out if in_place else partial)
+        save_curves(curves, partial or args.out)
         if args.svg:
             from .svg import save_exclusion_svg
 
