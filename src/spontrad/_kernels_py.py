@@ -15,13 +15,12 @@ Contents:
                           guess inside a bracket of a few sqrt(s)
   * normal_quantile    -- Acklam rational initial guess + one Halley step on
                           the erfc-based normal CDF
-  * Rng                -- xoshiro256** stream seeded through splitmix64, with
-                          single-uniform inversion Poisson sampling for mean
-                          < 30 and PTRS transformed rejection above
-  * poisson_plan       -- per-grid sampler state for Rng.poisson_counts, which
-                          draws a grid whose means are reused across streams:
-                          inversion tables, PTRS constants and one shared
-                          log-factorial memo
+  * Rng                -- xoshiro256** stream seeded through splitmix64
+  * poisson_plan       -- the Poisson sampler's state for a list of means,
+                          drawn by Rng.poisson_counts: inversion of one
+                          uniform below mean 30, on running sums that grow
+                          as the draws reach them, and PTRS transformed
+                          rejection from 30 with a shared log-factorial memo
 """
 
 import math
@@ -345,10 +344,6 @@ def mix_seed(seed, index):
     return value
 
 
-def _rotl(v, k):
-    return ((v << k) | (v >> (64 - k))) & _MASK64
-
-
 class Rng:
     """xoshiro256** pseudo-random stream (Blackman & Vigna), splitmix64-seeded.
 
@@ -366,24 +361,12 @@ class Rng:
         self._s2, state = _splitmix64(state)
         self._s3, state = _splitmix64(state)
 
-    def next_u64(self):
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
-
     def uniform(self):
-        """Uniform double in [0, 1): top 53 bits scaled by 2^-53.
+        """Uniform double in [0, 1): the top 53 bits of the next 64-bit
+        output, scaled by 2^-53.
 
-        next_u64() with the step and both rotations written out in place;
-        the hottest call of the sampler, so it makes no further calls.
+        The xoshiro256** step and both rotations are written out in place,
+        so it makes no further calls.
         """
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         r = (s1 * 5) & _MASK64
@@ -399,67 +382,37 @@ class Rng:
         return (result >> 11) * _INV_2POW53
 
     def poisson(self, mean):
-        """Poisson sample; inversion below mean 30, PTRS rejection above.
-
-        The inversion branch consumes exactly one uniform and is the Poisson
-        quantile function of that uniform, hence monotone in the mean for a
-        matched stream.
-        """
-        if not mean >= 0.0 or not math.isfinite(mean):
-            raise ValueError(f"poisson mean must be finite and >= 0, got {mean}")
-        if mean == 0.0:
-            return 0
-        if mean < 30.0:
-            return self._poisson_inversion(mean)
-        return self._poisson_ptrs(*_ptrs_constants(mean))
-
-    def _poisson_inversion(self, mean):
-        u = self.uniform()
-        prob = math.exp(-mean)
-        cum = prob
-        k = 0
-        while u >= cum:
-            k += 1
-            prob *= mean / k
-            cum += prob
-            if prob <= 0.0 or k > 10000:
-                break
-        return k
-
-    def _poisson_ptrs(self, mean, loglam, a, b, vr, log_invalpha):
-        # Hormann's transformed rejection with squeeze (PTRS).
-        for _ in range(10000):
-            u = self.uniform() - 0.5
-            v = self.uniform()
-            us = 0.5 - abs(u)
-            k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-            if us >= 0.07 and v <= vr:
-                return int(k)
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            if (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
-                    <= k * loglam - mean - log_gamma(k + 1.0)):
-                return int(k)
-        raise ValueError(f"poisson rejection sampler failed to accept (mean={mean})")
+        """One Poisson sample, drawn from a plan built for it alone."""
+        return self.poisson_counts(poisson_plan((mean,)))[0]
 
     def poisson_counts(self, plan):
-        """[self.poisson(m) for m in means] for plan = poisson_plan(means).
+        """The counts of plan = poisson_plan(means), one per mean, in order.
 
-        Draws the same uniforms in the same order and leaves the generator
-        in the same state.  The xoshiro256** step is written out as in
-        uniform(), with the state in locals for the whole grid.  A PTRS
-        squeeze miss reads log_gamma(k + 1.0) from the plan's memo, and
-        computes and stores it on the first miss at that k.
+        Below mean 30 a count takes one uniform u and is the first k whose
+        running sum exceeds u.  The sums are those of the terms
+        exp(-mean) * mean**k / k!, each the last times mean / k: u below
+        the last sum bisects them, and u at or past it grows them until one
+        exceeds u.  Growth forms the last term again in that order, so it
+        is the same double.  The sums stop growing where the next term no
+        longer changes them, which happens only past the mode (before it
+        each term is over 1/31 of the sum), where the terms only shrink: a
+        u at or above that sum walks on until the term underflows, and
+        that k is the count.  From 30 on, Hormann's PTRS (Insurance: Math.
+        & Econ. 12 (1993) 39) takes pairs of uniforms until one is
+        accepted.  A PTRS squeeze miss reads log_gamma(k + 1.0) from the
+        plan's memo, and computes and stores it on the first miss at that
+        k.  The xoshiro256** step is written out as in uniform(), with the
+        state in locals for the whole grid.
         """
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         counts = []
-        for cdf, tail in plan:
+        for cdf, state in zip(*plan):
             if cdf is None:
-                # A zero mean, or PTRS with the constants in tail.
-                if tail is None:
+                # A zero mean, or PTRS with the constants in state.
+                if state is None:
                     counts.append(0)
                     continue
-                mean, loglam, a, b, vr, log_invalpha, log_factorial = tail
+                mean, loglam, a, b, vr, log_invalpha, log_factorial = state
                 for _ in range(10000):
                     r = (s1 * 5) & _MASK64
                     result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
@@ -507,14 +460,34 @@ class Rng:
             s0 ^= s3
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            k = bisect_right(cdf, (result >> 11) * _INV_2POW53)
-            counts.append(k if k < len(cdf) else tail)
+            u = (result >> 11) * _INV_2POW53
+            if u < cdf[-1]:
+                counts.append(bisect_right(cdf, u))
+                continue
+            mean = state
+            k = len(cdf) - 1
+            prob = cdf[0]
+            if k:  # a fresh table has no terms to form again
+                for j in range(1, k + 1):
+                    prob *= mean / j
+            cum = cdf[-1]
+            while True:
+                k += 1
+                prob *= mean / k
+                if cum + prob > cum:
+                    cum += prob
+                    cdf.append(cum)
+                    if u < cum:
+                        break
+                elif prob <= 0.0:
+                    break
+            counts.append(k)
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return counts
 
 
 def _ptrs_constants(mean):
-    """Arguments of Rng._poisson_ptrs for one mean."""
+    """PTRS's (mean, log(mean), a, b, v_r, log(1 / alpha)) for one mean."""
     slam = math.sqrt(mean)
     loglam = math.log(mean)
     b = 0.931 + 2.53 * slam
@@ -524,49 +497,33 @@ def _ptrs_constants(mean):
     return mean, loglam, a, b, vr, math.log(invalpha)
 
 
-def _inversion_table(mean):
-    """Running sums of Rng._poisson_inversion, and its count past the last.
-
-    The sums are the loop's, in its order.  They stop at 1.0, which no
-    uniform reaches, or where adding the next term no longer changes them.
-    That happens only past the mode (before it each term is over 1/31 of
-    the sum), where the terms only shrink, so the sum stays put and a
-    uniform at or above it walks on until the term underflows: that k is
-    the tail.
-    """
-    prob = math.exp(-mean)
-    cum = prob
-    cdf = [cum]
-    k = 0
-    while True:
-        k += 1
-        prob *= mean / k
-        if prob <= 0.0 or k > 10000:
-            return tuple(cdf), k
-        if cum < 1.0 and cum + prob > cum:
-            cum += prob
-            cdf.append(cum)
-
-
 def poisson_plan(means):
-    """Sampler state for Rng.poisson_counts, built once for reused means.
+    """The sampler state that Rng.poisson_counts draws counts from.
 
-    One entry per mean: (cdf, tail) from _inversion_table below 30,
-    (None, PTRS constants + (memo,)) from 30 up, (None, None) for a zero
-    mean, which draws no uniform.  The PTRS entries share one memo, a dict
-    from k to log_gamma(k + 1.0) that poisson_counts fills as it goes, so
-    it holds at most one value per distinct k the plan's draws reach.
-    Invalid means raise as Rng.poisson does.
+    Two lists, sums and states, one entry per mean: below 30, the inversion
+    running sums, at first [exp(-mean)] alone, and the mean; from 30 up,
+    None and the PTRS constants + (memo,); for a zero mean, which draws no
+    uniform, None and None.  The PTRS entries share one memo, a dict from k
+    to log_gamma(k + 1.0) holding one value per distinct k the draws reach.
+
+    Drawing mutates the plan: the sums grow as far as the uniforms reach
+    and the memo fills.  Neither changes a count, so one plan serves any
+    number of streams in any order; a forked worker grows its own copy.
+    One plan is not shared across threads.  Invalid means raise ValueError.
     """
     log_factorial = {}
-    plan = []
+    sums = []
+    states = []
     for mean in means:
-        if not mean >= 0.0 or not math.isfinite(mean):
-            raise ValueError(f"poisson mean must be finite and >= 0, got {mean}")
-        if mean == 0.0:
-            plan.append((None, None))
-        elif mean < 30.0:
-            plan.append(_inversion_table(mean))
+        if 0.0 < mean < 30.0:
+            sums.append([math.exp(-mean)])
+            states.append(mean)
+        elif 30.0 <= mean < math.inf:
+            sums.append(None)
+            states.append(_ptrs_constants(mean) + (log_factorial,))
+        elif mean == 0.0:
+            sums.append(None)
+            states.append(None)
         else:
-            plan.append((None, _ptrs_constants(mean) + (log_factorial,)))
-    return tuple(plan)
+            raise ValueError(f"poisson mean must be finite and >= 0, got {mean}")
+    return sums, states

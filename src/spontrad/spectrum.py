@@ -26,6 +26,8 @@ MAX_TRIALS = 10 ** 6
 # Most bytes read from an input file: room for 10**6 spectrum rows of up to
 # 64 characters.  At most one byte more is read to tell a file is larger.
 MAX_INPUT_BYTES = 64 * 2 ** 20
+# Bytes per read of an input file, so that a small file allocates little.
+_READ_CHUNK = 2 ** 16
 # Most rows a spectrum file may hold; row MAX_SPECTRUM_ROWS + 1 is rejected
 # before its bin is built.
 MAX_SPECTRUM_ROWS = 10 ** 6
@@ -129,8 +131,13 @@ def read_text(path) -> str:
     the byte's offset in it, a file past MAX_INPUT_BYTES a ValidationError;
     OSError propagates to the caller.
     """
+    data = bytearray()
     with open(path, "rb") as fh:
-        data = fh.read(MAX_INPUT_BYTES + 1)
+        while len(data) <= MAX_INPUT_BYTES:
+            chunk = fh.read(min(_READ_CHUNK, MAX_INPUT_BYTES + 1 - len(data)))
+            if not chunk:
+                break
+            data += chunk
     if len(data) > MAX_INPUT_BYTES:
         raise ValidationError(f"{path}: input exceeds the limit of {MAX_INPUT_BYTES} bytes")
     try:

@@ -55,11 +55,12 @@ class SynthConfig:
         """Bin centers e_min, e_min + w, ... up to and including e_max."""
         return center_grid(self.e_min, self.e_max, self.bin_width)
 
-    def bin_means(self) -> list:
-        """Poisson mean of each bin: alpha_true * width / E_i + background."""
+    def bin_means(self, centers=None) -> list:
+        """Poisson mean of each bin: alpha_true * width / E_i + background,
+        on centers if given (self.centers() already built)."""
         width = self.bin_width
         return [self.alpha_true * (width / 1.0) / center + self.flat_background_per_bin
-                for center in self.centers()]
+                for center in (self.centers() if centers is None else centers)]
 
 
 @dataclass(frozen=True)
@@ -114,39 +115,39 @@ def _checked_bins(config: SynthConfig) -> tuple:
                                      for c in config.centers())).bins
 
 
-def _checked_means(config: SynthConfig) -> list:
-    """The grid's Poisson means, checked before any count is drawn.
+def _checked_means(config: SynthConfig, centers: list) -> list:
+    """The Poisson means of the grid centers = config.centers(), checked
+    before any count is drawn.
 
     Centers ascend from e_min, so the first bin is the one a non-positive
     energy fails; building it raises that bin's error and keeps bin_means
     off a zero center.  A mean above MAX_BIN_MEAN is rejected.
     """
     EnergyBin(center=config.e_min, width=config.bin_width, counts=0)
-    means = config.bin_means()
+    means = config.bin_means(centers)
     if max(means) > MAX_BIN_MEAN:
         raise ValidationError(
             f"bin mean {max(means):.6g} exceeds 2**52; counts would not be exact")
     return means
 
 
-def draw_counts(config: SynthConfig, means, trial_index: int = 0) -> list:
+def draw_counts(config: SynthConfig, plan, trial_index: int = 0) -> list:
     """One trial's bin counts as plain ints, from the trial's own stream.
 
-    means is config.bin_means().  Each mean is drawn once, so this uses the
-    loop sampler; run_coverage draws the same counts from a Poisson plan.
+    plan is kernels.poisson_plan(config.bin_means()); a study draws every
+    trial from the same plan.
     """
-    poisson = kernels.Rng(kernels.mix_seed(config.seed, trial_index)).poisson
-    return [poisson(mean) for mean in means]
+    return kernels.Rng(kernels.mix_seed(config.seed, trial_index)).poisson_counts(plan)
 
 
 def sample_spectrum(config: SynthConfig, trial_index: int = 0) -> BinnedSpectrum:
     """Draw one spectrum; identical (config, trial_index) gives identical bins."""
     centers = config.centers()
-    counts = draw_counts(config, _checked_means(config), trial_index)
+    plan = kernels.poisson_plan(_checked_means(config, centers))
     width = config.bin_width
     return BinnedSpectrum(
         bins=tuple(EnergyBin(center=c, width=width, counts=n)
-                   for c, n in zip(centers, counts)),
+                   for c, n in zip(centers, draw_counts(config, plan, trial_index))),
         source_label=f"synth(seed={config.seed},trial={trial_index})")
 
 
@@ -261,10 +262,9 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     check_method(method)
     check_confidence(confidence)
     bins = _checked_bins(config)
-    means = _checked_means(config)
     centers = [b.center for b in bins]
     # The means are the same for every trial, so the sampler state is too.
-    plan = kernels.poisson_plan(means)
+    plan = kernels.poisson_plan(_checked_means(config, centers))
     harmonic = harmonic_sum(bins)
     # Centers ascend from e_min, so the chi2 window is a prefix of the grid.
     window = centers[:sum(c <= config.e_max for c in centers)]
@@ -276,7 +276,7 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
         limits = {}
         covered = skipped = 0
         for i in range(start, stop):
-            counts = kernels.Rng(kernels.mix_seed(config.seed, i)).poisson_counts(plan)
+            counts = draw_counts(config, plan, i)
             if method == "bayes":
                 y_total = sum(counts)
                 limit = limits.get(y_total)

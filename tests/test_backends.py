@@ -1,10 +1,10 @@
 """Kernels: correctness oracles, stream regression, the Poisson plan.
 
-The special functions are checked against scipy and the RNG against an
-independent reimplementation of the published recurrences.
+The special functions are checked against scipy, the RNG against an
+independent reimplementation of the published recurrences, and the Poisson
+plan against the loop sampler below.
 """
 
-import bisect
 import math
 
 import mpmath
@@ -37,6 +37,15 @@ def _ref_splitmix64(x):
         yield z ^ (z >> 31)
 
 
+def _ref_rotl(v, k):
+    return ((v << k) % _M) | (v >> (64 - k))
+
+
+def _ref_output(s1):
+    """The xoshiro256** output of a state whose second word is s1."""
+    return (_ref_rotl((s1 * 5) % _M, 7) * 9) % _M
+
+
 class _RefXoshiro:
     def __init__(self, seed):
         gen = _ref_splitmix64(seed)
@@ -44,19 +53,68 @@ class _RefXoshiro:
 
     def next(self):
         s = self.state
-
-        def rotl(v, k):
-            return ((v << k) % _M) | (v >> (64 - k))
-
-        out = (rotl((s[1] * 5) % _M, 7) * 9) % _M
+        out = _ref_output(s[1])
         t = (s[1] << 17) % _M
         s[2] ^= s[0]
         s[3] ^= s[1]
         s[1] ^= s[2]
         s[0] ^= s[3]
         s[2] ^= t
-        s[3] = rotl(s[3], 45)
+        s[3] = _ref_rotl(s[3], 45)
         return out
+
+
+def next_u64(rng):
+    """rng's next 64-bit output: the output of its state, which
+    rng.uniform() then steps past, so the step is the package's own."""
+    out = _ref_output(rng._s1)
+    rng.uniform()
+    return out
+
+
+# --- reference sampler -------------------------------------------------------
+# The loop sampler, one draw per call, on any object with a uniform():
+# inversion of one uniform below mean 30, Hormann's PTRS from 30.
+
+def poisson(rng, mean):
+    if not mean >= 0.0 or not math.isfinite(mean):
+        raise ValueError(f"poisson mean must be finite and >= 0, got {mean}")
+    if mean == 0.0:
+        return 0
+    if mean < 30.0:
+        return _poisson_inversion(rng, mean)
+    return _poisson_ptrs(rng, mean)
+
+
+def _poisson_inversion(rng, mean):
+    u = rng.uniform()
+    prob = math.exp(-mean)
+    cum = prob
+    k = 0
+    while u >= cum:
+        k += 1
+        prob *= mean / k
+        cum += prob
+        if prob <= 0.0 or k > 10000:
+            break
+    return k
+
+
+def _poisson_ptrs(rng, mean):
+    mean, loglam, a, b, vr, log_invalpha = _kernels_py._ptrs_constants(mean)
+    for _ in range(10000):
+        u = rng.uniform() - 0.5
+        v = rng.uniform()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+        if us >= 0.07 and v <= vr:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
+                <= k * loglam - mean - _kernels_py.log_gamma(k + 1.0)):
+            return int(k)
+    raise ValueError(f"poisson rejection sampler failed to accept (mean={mean})")
 
 
 # First outputs for seed 0, frozen; guards against silent stream changes.
@@ -69,18 +127,18 @@ class TestIntegerStream:
                                                (42, SEED42_FIRST3)])
     def test_frozen_first_outputs(self, kern, seed, expected):
         rng = kern.Rng(seed)
-        assert tuple(rng.next_u64() for _ in range(3)) == expected
+        assert tuple(next_u64(rng) for _ in range(3)) == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63, 2 ** 64 - 1])
     def test_matches_reference_recurrence(self, kern, seed):
         ref = _RefXoshiro(seed)
         rng = kern.Rng(seed)
-        assert [rng.next_u64() for _ in range(200)] == [ref.next()
-                                                        for _ in range(200)]
+        assert [next_u64(rng) for _ in range(200)] == [ref.next()
+                                                       for _ in range(200)]
 
     def test_outputs_span_64_bits(self, kern):
         rng = kern.Rng(123)
-        values = [rng.next_u64() for _ in range(2000)]
+        values = [next_u64(rng) for _ in range(2000)]
         assert all(0 <= v < 2 ** 64 for v in values)
         assert any(v >> 63 for v in values)
 
@@ -106,6 +164,13 @@ class TestUniform:
         values = [rng.uniform() for _ in range(20_000)]
         d, p = stats.kstest(values, "uniform")
         assert p > 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 64 - 1])
+    def test_top_53_bits_of_the_reference_stream(self, kern, seed):
+        ref = _RefXoshiro(seed)
+        rng = kern.Rng(seed)
+        assert [rng.uniform() for _ in range(200)] == [(ref.next() >> 11) * 2.0 ** -53
+                                                       for _ in range(200)]
 
 
 class TestPoisson:
@@ -200,17 +265,43 @@ _PLAN_MEANS = st.lists(st.one_of(
     st.floats(min_value=30.0, max_value=200.0, exclude_min=True)), max_size=40)
 
 
-class _FixedUniform(_kernels_py.Rng):
-    """A generator whose every uniform is u, to drive the loop sampler."""
-
-    __slots__ = ("u",)
+class _FixedUniform:
+    """A stand-in generator whose every uniform is u, to drive the loop sampler."""
 
     def __init__(self, u):
-        super().__init__(0)
         self.u = u
 
     def uniform(self):
         return self.u
+
+
+def _rng_at(u):
+    """A generator whose next uniform is u, a multiple of 2**-53 in [0, 1).
+
+    The output of a state depends on its second word alone, as the
+    invertible map rotl(s1 * 5, 7) * 9, so s1 is solved for the output
+    whose top 53 bits are u * 2**53.
+    """
+    out = int(u * 2.0 ** 53) << 11
+    x = out * pow(9, -1, _M) % _M
+    rng = _kernels_py.Rng(0)
+    rng._s1 = _ref_rotl(x, 57) * pow(5, -1, _M) % _M
+    return rng
+
+
+def _draw_at(plan, u):
+    """The count poisson_counts draws from a one-mean plan for uniform u."""
+    return _rng_at(u).poisson_counts(plan)[0]
+
+
+_TOP = 1.0 - 2.0 ** -53  # the largest uniform
+
+
+def _grown(mean):
+    """A plan for mean whose sums are complete."""
+    plan = _kernels_py.poisson_plan([mean])
+    _draw_at(plan, _TOP)
+    return plan
 
 
 class TestPoissonPlan:
@@ -218,10 +309,12 @@ class TestPoissonPlan:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(means=_PLAN_MEANS, seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
     def test_counts_and_state_match_the_loop(self, kern, means, seed):
+        # The plan is reused, so later draws meet sums the earlier ones grew.
+        plan = kern.poisson_plan(means)
         planned, looped = kern.Rng(seed), kern.Rng(seed)
-        assert planned.poisson_counts(kern.poisson_plan(means)) == [
-            looped.poisson(m) for m in means]
-        assert planned.next_u64() == looped.next_u64()
+        for _ in range(3):
+            assert planned.poisson_counts(plan) == [poisson(looped, m) for m in means]
+        assert next_u64(planned) == next_u64(looped)
 
     def test_long_stream_matches_the_loop(self, kern):
         # The rare PTRS branches (the squeeze edges, the k < 0 cut) need
@@ -230,7 +323,7 @@ class TestPoissonPlan:
         plan = kern.poisson_plan(means)
         planned, looped = kern.Rng(2024), kern.Rng(2024)
         for _ in range(5000):
-            assert planned.poisson_counts(plan) == [looped.poisson(m) for m in means]
+            assert planned.poisson_counts(plan) == [poisson(looped, m) for m in means]
 
     def test_reused_plan_matches_the_loop_with_cold_and_warm_memo(self, kern):
         # A study draws every trial from one plan.  Its PTRS entries share
@@ -238,16 +331,16 @@ class TestPoissonPlan:
         # the second pass only reads it.
         means = [30.0, 31.5, 47.3, 64.0, 115.0, 300.0, 700.0]
         plan = kern.poisson_plan(means)
-        memo = plan[0][1][-1]
+        memo = plan[1][0][-1]
         assert memo == {}
-        assert all(cdf is None and tail[-1] is memo for cdf, tail in plan)
+        assert all(cdf is None and tail[-1] is memo for cdf, tail in zip(*plan))
 
         def draw_every_stream():
             for i in range(2000):
                 planned = kern.Rng(kern.mix_seed(11, i))
                 looped = kern.Rng(kern.mix_seed(11, i))
-                assert planned.poisson_counts(plan) == [looped.poisson(m) for m in means]
-                assert planned.next_u64() == looped.next_u64()
+                assert planned.poisson_counts(plan) == [poisson(looped, m) for m in means]
+                assert next_u64(planned) == next_u64(looped)
 
         draw_every_stream()
         filled = dict(memo)
@@ -257,27 +350,64 @@ class TestPoissonPlan:
         assert memo == filled
         assert all(value == kern.log_gamma(k + 1.0) for k, value in memo.items())
 
+    def test_trial_order_does_not_change_the_counts(self, kern):
+        # Each draw grows the sums as far as its uniform reaches, so the
+        # trials drawn first decide how the sums grow; the counts and the
+        # grown plan must not depend on it.
+        means = [0.05, 0.7, 3.0, 7.67, 18.12, 29.9, 47.3, 115.0]
+        forwards, backwards = kern.poisson_plan(means), kern.poisson_plan(means)
+        trials = range(500)
+        ahead = [kern.Rng(kern.mix_seed(3, i)).poisson_counts(forwards) for i in trials]
+        behind = [kern.Rng(kern.mix_seed(3, i)).poisson_counts(backwards)
+                  for i in reversed(trials)]
+        assert ahead == behind[::-1]
+        assert forwards == backwards
+
+    @pytest.mark.parametrize("mean", [0.5, 7.67, 29.9])
+    def test_one_draw_grows_a_fresh_table_only_past_its_uniform(self, kern, mean):
+        for i in range(300):
+            plan = kern.poisson_plan([mean])
+            cdf = plan[0][0]
+            assert cdf == [math.exp(-mean)]
+            u = kern.Rng(kern.mix_seed(9, i)).uniform()
+            k, = kern.Rng(kern.mix_seed(9, i)).poisson_counts(plan)
+            # The sums end at the first one above u, which gives the count.
+            assert len(cdf) == k + 1
+            assert cdf[-1] > u
+            assert k == 0 or cdf[-2] <= u
+
     @pytest.mark.parametrize("mean", [1e-300, 0.1, 0.5, 3.0, 7.67, 18.12, 29.9])
     def test_table_lookup_equals_the_loop_at_every_edge(self, mean):
-        cdf, tail = _kernels_py._inversion_table(mean)
-        edges = [0.0, 1.0 - 2.0 ** -53]
-        for c in cdf:
-            edges += [c, math.nextafter(c, 0.0)]
-        for u in edges:
-            if u < 1.0:
-                k = bisect.bisect_right(cdf, u)
-                assert (k if k < len(cdf) else tail) == (
-                    _FixedUniform(u)._poisson_inversion(mean)), u
+        # The uniforms on each side of every running sum, drawn from a
+        # fresh plan and from one whose sums are complete.
+        grown = _grown(mean)
+        edges = {0.0, _TOP}
+        for c in grown[0][0]:
+            above = math.ceil(c * 2.0 ** 53)
+            edges |= {m * 2.0 ** -53 for m in (above - 1, above) if m < 2 ** 53}
+        for u in sorted(edges):
+            loop = _poisson_inversion(_FixedUniform(u), mean)
+            assert _draw_at(_kernels_py.poisson_plan([mean]), u) == loop, u
+            assert _draw_at(grown, u) == loop, u
 
     @pytest.mark.parametrize("mean", [0.1, 18.12])
     def test_tail_is_the_loop_answer_for_saturating_means(self, mean):
         # The running sum stops below the largest uniform, so the loop walks
-        # on to the underflow of its term; the table's tail must say where.
-        top = 1.0 - 2.0 ** -53
-        cdf, tail = _kernels_py._inversion_table(mean)
-        assert cdf[-1] <= top
-        assert tail == _FixedUniform(top)._poisson_inversion(mean)
-        assert tail > len(cdf)
+        # on to the underflow of its term; a draw past the complete sums
+        # must say where, the one that completes them and every later one.
+        loop = _poisson_inversion(_FixedUniform(_TOP), mean)
+        plan = _kernels_py.poisson_plan([mean])
+        cdf = plan[0][0]
+        assert _draw_at(plan, _TOP) == loop
+        assert cdf[-1] <= _TOP
+        assert loop > len(cdf)
+        complete = list(cdf)
+        assert _draw_at(plan, _TOP) == loop
+        assert cdf == complete
+
+    def test_generator_at_a_uniform(self):
+        for m in (0, 1, 123_456_789, 2 ** 52, 2 ** 53 - 1):
+            assert _rng_at(m * 2.0 ** -53).uniform() == m * 2.0 ** -53
 
     @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     def test_invalid_mean(self, kern, bad):

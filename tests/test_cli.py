@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, schemas, exit codes, artifacts."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -645,6 +646,15 @@ class TestSynth:
 
     def test_invalid_config_exits_2(self, run_cli):
         assert run_cli("synth", "--alpha", -1, "--seed", 0).code == 2
+
+    def test_small_means_grid_is_pinned(self, run_cli):
+        # 10^4 bins with means from 1 to 67: both samplers, and inversion
+        # sums grown by draws far into their tails.
+        r = run_cli("synth", "--alpha", 1e4, "--emin", 15, "--emax", 1015,
+                    "--bin-width", 0.1, "--seed", 7)
+        assert r.code == 0
+        assert hashlib.sha256(r.out.encode()).hexdigest() == (
+            "0ef0c6b3c763113037f3db95dff1de035fd2cf0fabb22d506e8303ba60661b95")
 
 
 class TestScan:

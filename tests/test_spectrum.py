@@ -1,10 +1,15 @@
 """Spectrum data model, CSV round-trips and selection."""
 
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spontrad import spectrum as spectrum_module
 from spontrad.errors import (SelectionEmptyError, SpectrumFormatError,
                              ValidationError)
 from spontrad.spectrum import (BinnedSpectrum, CSV_HEADER, EnergyBin,
@@ -200,6 +205,40 @@ def test_non_utf8_file_is_a_format_error(tmp_path):
         load_spectrum(path)
     assert str(info.value) == (
         f"{path}: 'utf-8' codec can't decode byte 0xff in position 48: invalid start byte")
+
+
+def test_small_file_read_allocates_little(tmp_path):
+    path = _csv(tmp_path, f"{H}\n15.0,1.0,3\n16.0,1.0,4\n")
+    tracemalloc.start()
+    try:
+        text = spectrum_module.read_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == f"{H}\n15.0,1.0,3\n16.0,1.0,4\n"
+    assert peak < 2 ** 20
+
+
+def test_read_in_chunks_keeps_the_byte_cap(tmp_path, monkeypatch):
+    # Chunks far smaller than the file: read whole at the cap, and one
+    # byte past it is rejected, from a file or from a pipe.
+    text = f"{H}\n" + "".join(f"{15 + i}.0,1.0,{i}\n" for i in range(40))
+    path = _csv(tmp_path, text)
+    monkeypatch.setattr(spectrum_module, "_READ_CHUNK", 7)
+    monkeypatch.setattr(spectrum_module, "MAX_INPUT_BYTES", len(text))
+    assert spectrum_module.read_text(path) == text
+    monkeypatch.setattr(spectrum_module, "MAX_INPUT_BYTES", len(text) - 1)
+    with pytest.raises(ValidationError, match="input exceeds the limit"):
+        spectrum_module.read_text(path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,))
+    writer.start()
+    try:
+        with pytest.raises(ValidationError, match="input exceeds the limit"):
+            spectrum_module.read_text(fifo)
+    finally:
+        writer.join()
 
 
 class TestSelect:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from spontrad import synth
+from spontrad.backend import kernels
 from spontrad.errors import (InsufficientDataError, NumericalError, SelectionEmptyError,
                              ValidationError)
 from spontrad.synth import (CoverageReport, SynthConfig, alpha_limit_for_trial,
@@ -295,9 +296,9 @@ class TestGoldenCoverage:
         # alpha 1000 puts the low-energy bins on the PTRS sampler.
         cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
                           seed=20260823, **WINDOW)
-        means = cfg.bin_means()
+        plan = kernels.poisson_plan(cfg.bin_means())
         for i in range(50):
-            counts = draw_counts(cfg, means, i)
+            counts = draw_counts(cfg, plan, i)
             assert all(type(n) is int for n in counts)
             assert counts == [b.counts for b in sample_spectrum(cfg, i).bins]
 
@@ -341,8 +342,8 @@ def split(monkeypatch):
 def _fail_from_trial(monkeypatch, cfg, trials, first_bad):
     """Make the bayes limit fail for every total first drawn at trial
     first_bad or later; returns the error a serial study raises."""
-    means = cfg.bin_means()
-    totals = [sum(draw_counts(cfg, means, i)) for i in range(trials)]
+    plan = kernels.poisson_plan(cfg.bin_means())
+    totals = [sum(draw_counts(cfg, plan, i)) for i in range(trials)]
     bad = set(totals[first_bad:]) - set(totals[:first_bad])
     assert bad
     limit = synth._bayes_limit
