@@ -1,8 +1,9 @@
 """Command-line front end: fit, limit, scan, synth, coverage.
 
 Every command is deterministic given its flags (plus --seed where sampling
-is involved) and writes either JSON (fit, limit, coverage) or CSV/SVG
-artifacts (scan, synth).  Pipeline failures print a machine-readable error
+is involved).  fit, limit and coverage write JSON, scan and synth CSV/SVG;
+each --out and --svg goes through spectrum.write_texts, which replaces a
+command's files together.  Pipeline failures print a machine-readable error
 object to stderr and exit with 2 (validation), 3 (I/O) or 4 (numerical
 non-convergence); argparse keeps its usual usage-error behavior.
 
@@ -23,7 +24,7 @@ from .constants import (CHI2_MIN_COUNTS, IGEX_EXPOSURE, METHODS, CouplingMode, E
                         check_confidence, conversion)
 from .errors import NumericalError, ValidationError
 from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
-                       load_spectrum, save_spectrum, select)
+                       load_spectrum, save_spectrum, select, write_texts)
 
 DEFAULT_E_MIN_KEV = 14.5
 DEFAULT_E_MAX_KEV = 48.5
@@ -77,8 +78,7 @@ def _emit_json(args, payload: dict) -> None:
         bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
         raise NumericalError(f"result out of the float range: {', '.join(bad)}") from None
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_texts((args.out, text))
     else:
         sys.stdout.write(text)
 
@@ -185,23 +185,6 @@ def cmd_limit(args) -> int:
     return 0
 
 
-def _reserve_beside(path, shown) -> str:
-    """Create an empty file of a new name in path's directory; return the name.
-
-    The file is made by a plain open(), so it has the mode any new file
-    gets, and keeps it when it replaces path.  An OSError names shown.
-    """
-    while True:
-        name = f"{path}.{os.urandom(8).hex()}.tmp"
-        try:
-            open(name, "x").close()
-            return name
-        except FileExistsError:
-            continue
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, str(shown)) from None
-
-
 def _same_file(a, b) -> bool:
     try:
         return os.path.samefile(a, b)
@@ -210,7 +193,7 @@ def _same_file(a, b) -> bool:
 
 
 def cmd_scan(args) -> int:
-    from .scan import builtin_reference_points, load_overlay_boundary, save_curves, scan
+    from .scan import builtin_reference_points, format_curves, load_overlay_boundary, scan
 
     if args.overlay and not args.svg:
         raise ValidationError("--overlay is drawn on the --svg plot; give --svg too")
@@ -222,29 +205,17 @@ def cmd_scan(args) -> int:
     curves = [scan(payload(coupling)["lambda_upper_s_inv"], args.r_c, grid,
                    coupling, args.method, args.cl)
               for coupling in CouplingMode]
-    # Read before anything is written, so a bad overlay leaves no --out file.
-    overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
-    # The curves go to a file beside --out (beside its target, for a symlink)
-    # that replaces it once the plot is drawn, so a run that fails leaves
-    # --out as it was, or absent.  A FIFO, device or directory is not
-    # replaced: the curves are written to it in place.
-    target = os.path.realpath(args.out)
-    special = os.path.exists(target) and not os.path.isfile(target)
-    partial = None if special else _reserve_beside(target, args.out)
-    try:
-        save_curves(curves, partial or args.out)
-        if args.svg:
-            from .svg import save_exclusion_svg
+    # Every text is made before any file is written, so a bad overlay or a
+    # plot that fails leaves --out and --svg as they were.
+    outputs = [(args.out, format_curves(curves))]
+    if args.svg:
+        from .svg import render_exclusion_svg
 
-            save_exclusion_svg(args.svg, curves,
-                               references=builtin_reference_points(), overlay=overlay,
-                               title="collapse-rate exclusion from X-ray emission")
-        if partial:
-            os.replace(partial, target)
-    except BaseException:
-        if partial and os.path.exists(partial):
-            os.remove(partial)
-        raise
+        overlay = load_overlay_boundary(args.overlay) if args.overlay else ()
+        outputs.append((args.svg, render_exclusion_svg(
+            curves, references=builtin_reference_points(), overlay=overlay,
+            title="collapse-rate exclusion from X-ray emission")))
+    write_texts(*outputs)
     return 0
 
 

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .constants import CouplingMode, check_confidence, check_method
 from .errors import ValidationError
-from .spectrum import check_grid_size, csv_rows, headed_csv_rows
+from .spectrum import check_grid_size, csv_rows, headed_csv_rows, write_texts
 
 CURVE_CSV_HEADER = "r_c_m,lambda_limit_s_inv,coupling,method,confidence"
 OVERLAY_CSV_HEADER = "r_c_m,lambda_s_inv"
@@ -139,8 +139,7 @@ def format_curves(curves) -> str:
 
 def save_curves(curves, path) -> None:
     """Write curves as CSV; load_curves gives back equal curves."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_curves(curves))
+    write_texts((path, format_curves(curves)))
 
 
 def _curve_fields(fields):

@@ -8,6 +8,7 @@ The exposure is not part of the CSV: the CLI takes it by flags.
 
 import math
 import operator
+import os
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -147,6 +148,37 @@ def read_text(path) -> str:
     return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
+def write_texts(*outputs) -> None:
+    """The package's one writer: each (path, text) as UTF-8 with LF line ends.
+
+    Each text goes to a new file of a unique name beside its target (the
+    file a symlink points to), made by open(name, "x"), so it has the mode
+    of any new file and no other file is written over.  os.replace puts
+    them in place once all are written; on any failure every staged file is
+    removed.  A target that exists and is not a regular file (a FIFO, a
+    device, a directory) is written in place.  An OSError names the path.
+    """
+    staged = []  # (staged name, target, path as given)
+    try:
+        for shown, text in outputs:
+            target = os.path.realpath(shown)
+            in_place = os.path.exists(target) and not os.path.isfile(target)
+            name = shown if in_place else f"{target}.{os.urandom(8).hex()}.tmp"
+            with open(name, "w" if in_place else "x", encoding="utf-8", newline="\n") as fh:
+                if not in_place:
+                    staged.append((name, target, shown))
+                fh.write(text)
+        for name, target, shown in staged:
+            os.replace(name, target)
+    except BaseException as exc:
+        for name, _, _ in staged:
+            if os.path.lexists(name):
+                os.remove(name)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(shown)) from None
+        raise
+
+
 def csv_rows(path, header: str, n_fields: int, convert):
     """Parse a CSV file row by row, in file order, as the rows are asked for.
 
@@ -219,8 +251,7 @@ def format_spectrum(spectrum: BinnedSpectrum) -> str:
 
 def save_spectrum(spectrum: BinnedSpectrum, path) -> None:
     """Write canonical CSV; load_spectrum(save_spectrum(s)) is bit-exact."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_spectrum(spectrum))
+    write_texts((path, format_spectrum(spectrum)))
 
 
 def select(spectrum: BinnedSpectrum, sel: RangeSelection) -> BinnedSpectrum:

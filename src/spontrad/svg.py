@@ -10,6 +10,7 @@ output is a deterministic function of the inputs.
 import math
 
 from .errors import ValidationError
+from .spectrum import write_texts
 
 WIDTH = 800
 HEIGHT = 600
@@ -205,7 +206,5 @@ def render_exclusion_svg(curves, references=(), overlay=(), title="") -> str:
 
 def save_exclusion_svg(path, curves, references=(), overlay=(), title="") -> None:
     """Render and write the plot; identical inputs give identical bytes."""
-    text = render_exclusion_svg(curves, references=references, overlay=overlay,
-                                title=title)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_texts((path, render_exclusion_svg(curves, references=references, overlay=overlay,
+                                            title=title)))

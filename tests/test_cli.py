@@ -1,12 +1,15 @@
 """End-to-end CLI behavior: outputs, schemas, exit codes, artifacts."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import math
 import os
 import stat
 import tracemalloc
+from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -25,6 +28,7 @@ from spontrad.spectrum import MAX_GRID_POINTS, MAX_TRIALS
 BAYES_LAMBDA_MP = 7.006202483028229e-12
 CHI2_LAMBDA_MP = 8.097029465934479e-12
 CHI2_LAMBDA_NMP = 2.401641287497066e-18
+DATA = Path(resources.files("spontrad")) / "data"
 
 
 class TestFit:
@@ -782,79 +786,6 @@ class TestScan:
         assert out.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [out]
 
-    def test_out_file_is_replaced_with_the_mode_of_a_new_file(self, run_cli, tmp_path):
-        out, svg, fresh = tmp_path / "c.csv", tmp_path / "p.svg", tmp_path / "fresh"
-        out.write_text("old\n")
-        fresh.write_text("")
-        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5",
-                    "--out", out, "--svg", svg)
-        assert r.code == 0
-        assert len(load_curves(out)) == 2
-        assert out.stat().st_mode == fresh.stat().st_mode
-        assert sorted(tmp_path.iterdir()) == [out, fresh, svg]
-
-    @pytest.mark.parametrize("svg,code", [("p.svg", 0), ("nodir/p.svg", 3)],
-                             ids=["success", "failure"])
-    def test_a_users_tmp_file_beside_out_is_left_alone(self, run_cli, tmp_path, svg, code):
-        out, mine = tmp_path / "c.csv", tmp_path / "c.csv.tmp"
-        mine.write_text("mine\n")
-        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5",
-                    "--out", out, "--svg", tmp_path / svg)
-        assert r.code == code
-        assert mine.read_text() == "mine\n"
-        written = [out, tmp_path / svg] if code == 0 else []
-        assert sorted(tmp_path.iterdir()) == sorted([mine, *written])
-
-    def test_out_in_a_missing_directory_names_out(self, run_cli, tmp_path, schemas):
-        out = tmp_path / "nodir" / "c.csv"
-        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5",
-                    "--out", out)
-        assert (r.code, r.out) == (3, "")
-        jsonschema.validate(r.error, schemas["error"])
-        assert r.error["error"] == {
-            "type": "io", "message": f"[Errno 2] No such file or directory: '{out}'"}
-        assert list(tmp_path.iterdir()) == []
-
-    def test_fifo_out_is_written_in_place(self, run_cli, tmp_path):
-        fifo = tmp_path / "c.csv"
-        os.mkfifo(fifo)
-        # A reader is open first, so opening the FIFO to write does not block.
-        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
-                        "--grid", "1e-9:1e-3:5", "--out", fifo)
-            text = os.read(reader, 2 ** 16).decode()
-        finally:
-            os.close(reader)
-        assert r.code == 0
-        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-        assert text.startswith("r_c_m,lambda_limit_s_inv,coupling,method,confidence\n")
-        assert len(text.splitlines()) == 1 + 2 * 5
-        assert list(tmp_path.iterdir()) == [fifo]
-
-    def test_directory_out_exits_3(self, run_cli, tmp_path, schemas):
-        out = tmp_path / "d"
-        out.mkdir()
-        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
-                    "--grid", "1e-9:1e-3:5", "--out", out)
-        assert (r.code, r.out) == (3, "")
-        jsonschema.validate(r.error, schemas["error"])
-        assert r.error["error"] == {"type": "io", "message": f"[Errno 21] Is a directory: '{out}'"}
-        assert list(tmp_path.iterdir()) == [out]
-        assert list(out.iterdir()) == []
-
-    def test_symlinked_out_replaces_the_file_it_points_to(self, run_cli, tmp_path):
-        real, link = tmp_path / "sub" / "real.csv", tmp_path / "link.csv"
-        real.parent.mkdir()
-        real.write_text("old\n")
-        link.symlink_to(real)
-        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
-                    "--grid", "1e-9:1e-3:5", "--out", link)
-        assert r.code == 0
-        assert link.is_symlink() and os.readlink(link) == str(real)
-        assert len(load_curves(real)) == 2
-        assert sorted(tmp_path.rglob("*")) == [link, real.parent, real]
-
     @pytest.mark.parametrize("svg", ["c.csv", "./c.csv", "link.csv"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_svg_naming_the_out_file_exits_2_unwritten(self, run_cli, tmp_path, schemas,
@@ -899,6 +830,233 @@ class TestScan:
         jsonschema.validate(r.error, schemas["error"])
         assert r.error["error"]["type"] == "validation"
         assert not out.exists()
+
+
+# Every file a command writes: (argv, the flag naming the file).
+SCAN_CHI2 = ("scan", "--method", "chi2", "--alpha-upper", 100, "--grid", "1e-9:1e-3:5")
+WRITERS = {
+    "fit": (("fit", "--input", DATA / "synth_igex_like.csv"), "--out"),
+    "limit": (LIMIT_SHORTCUT, "--out"),
+    "coverage": (("coverage", "--alpha", 115, "--trials", 5), "--out"),
+    "synth": (("synth", "--alpha", 115), "--out"),
+    "scan": (SCAN_CHI2, "--out"),
+    "scan-svg": (SCAN_CHI2, "--svg"),
+}
+
+
+def refuse_replace(src, dst):
+    raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+
+def snapshot(root) -> dict:
+    """Each path under root: its bytes, its link target, or that it is a directory."""
+    state = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for path in (os.path.join(dirpath, name) for name in dirnames + filenames):
+            if os.path.islink(path):
+                state[path] = ("link", os.readlink(path))
+            elif os.path.isdir(path):
+                state[path] = ("dir",)
+            else:
+                state[path] = ("file", Path(path).read_bytes())
+    return state
+
+
+@pytest.fixture(params=sorted(WRITERS))
+def write(request, run_cli, tmp_path_factory):
+    """write(path) runs one command with its file flag naming path.
+
+    scan-svg writes its curves to a directory of their own, so the test's
+    directory holds only the file under test.  write.text is what the
+    command writes to a new file.
+    """
+    argv, flag = WRITERS[request.param]
+    side = tmp_path_factory.mktemp("writer")
+    if request.param == "scan-svg":
+        argv = (*argv, "--out", side / "c.csv")
+
+    def run(path):
+        return run_cli(*argv, flag, path)
+
+    fresh = side / "fresh"
+    assert run(fresh).code == 0
+    run.text = fresh.read_text()
+    if request.param == "scan":
+        assert len(load_curves(fresh)) == 2
+    elif request.param == "scan-svg":
+        assert run.text.count('class="curve"') == 2
+    else:
+        assert run.text == run_cli(*argv).out
+    return run
+
+
+class TestOutputFiles:
+    """Every --out and --svg: staged beside its target, then replaced."""
+
+    def test_out_file_is_replaced_with_the_mode_of_a_new_file(self, write, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        out.write_text("old\n")
+        out.chmod(0o700)  # a new file never has the execute bits
+        old_inode = out.stat().st_ino
+        fresh.write_text("")
+        r = write(out)
+        assert r.code == 0
+        assert out.read_text() == write.text
+        assert out.stat().st_mode == fresh.stat().st_mode
+        assert out.stat().st_ino != old_inode
+        assert sorted(tmp_path.iterdir()) == [fresh, out]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+    def test_a_users_tmp_file_beside_out_is_left_alone(self, write, tmp_path, monkeypatch,
+                                                       fails):
+        out, mine = tmp_path / "out", tmp_path / "out.tmp"
+        mine.write_text("mine\n")
+        if fails:
+            monkeypatch.setattr(spontrad.spectrum.os, "replace", refuse_replace)
+        r = write(out)
+        assert r.code == (3 if fails else 0)
+        assert mine.read_text() == "mine\n"
+        assert sorted(tmp_path.iterdir()) == ([mine] if fails else [out, mine])
+
+    def test_out_in_a_missing_directory_names_out(self, write, tmp_path, schemas):
+        out = tmp_path / "nodir" / "out"
+        r = write(out)
+        assert (r.code, r.out) == (3, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {
+            "type": "io", "message": f"[Errno 2] No such file or directory: '{out}'"}
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fifo_out_is_written_in_place(self, write, tmp_path):
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        # A reader is open first, so opening the FIFO to write does not block.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            r = write(fifo)
+            text = os.read(reader, 2 ** 16).decode()
+        finally:
+            os.close(reader)
+        assert r.code == 0
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert text == write.text
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_directory_out_exits_3(self, write, tmp_path, schemas):
+        out = tmp_path / "d"
+        out.mkdir()
+        r = write(out)
+        assert (r.code, r.out) == (3, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {"type": "io", "message": f"[Errno 21] Is a directory: '{out}'"}
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    def test_symlinked_out_replaces_the_file_it_points_to(self, write, tmp_path):
+        real, link = tmp_path / "sub" / "real", tmp_path / "link"
+        real.parent.mkdir()
+        real.write_text("old\n")
+        old_inode = real.stat().st_ino
+        link.symlink_to(real)
+        r = write(link)
+        assert r.code == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == write.text
+        assert real.stat().st_ino != old_inode
+        assert sorted(tmp_path.rglob("*")) == [link, real.parent, real]
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--input", DATA / "synth_igex_like.csv", "--out", "{tmp}/a"),
+        (*LIMIT_SHORTCUT, "--out", "{tmp}/a"),
+        ("coverage", "--alpha", 115, "--trials", 5, "--out", "{tmp}/a"),
+        ("synth", "--alpha", 115, "--out", "{tmp}/a"),
+        (*SCAN_CHI2, "--out", "{tmp}/a", "--svg", "{tmp}/b"),
+    ], ids=["fit", "limit", "coverage", "synth", "scan"])
+    def test_a_failed_replace_keeps_every_old_target(self, run_cli, tmp_path, schemas,
+                                                     monkeypatch, argv):
+        (tmp_path / "a").write_text("old a\n")
+        (tmp_path / "b").write_text("old b\n")
+        before = snapshot(tmp_path)
+        monkeypatch.setattr(spontrad.spectrum.os, "replace", refuse_replace)
+        r = run_cli(*(str(a).format(tmp=tmp_path) for a in argv))
+        assert (r.code, r.out) == (3, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {
+            "type": "io", "message": f"[Errno 18] {os.strerror(errno.EXDEV)}: '{tmp_path}/a'"}
+        assert snapshot(tmp_path) == before
+
+
+# The output property: per command, its valid argv and the argv tail of
+# each fault that applies to it; a fault that does not apply is no fault.
+BAD_CL = ("--cl", 1.5)
+ALPHA_UPPER_PAST_FLOAT = ("--alpha-upper", 1e308, "--r-c", 1)  # lambda overflows: exit 4
+OUTPUT_COMMANDS = {
+    "fit": (WRITERS["fit"][0], {"bad-cl": BAD_CL}),
+    "limit": (("limit", "--method", "chi2", "--alpha-upper", 143),
+              {"bad-cl": BAD_CL, "alpha-past-float": ALPHA_UPPER_PAST_FLOAT}),
+    "coverage": (WRITERS["coverage"][0],
+                 {"bad-cl": BAD_CL, "alpha-past-float": ("--alpha", 1e300)}),
+    "synth": (WRITERS["synth"][0], {"alpha-past-float": ("--alpha", 1e300)}),
+    "scan": (SCAN_CHI2, {"bad-cl": BAD_CL, "bad-overlay": ("--overlay", "{tmp}/bad.csv"),
+                         "alpha-past-float": ALPHA_UPPER_PAST_FLOAT}),
+}
+FAULTS = ("valid", "bad-cl", "bad-overlay", "alpha-past-float")
+OUTPUT_KINDS = ("new", "existing", "missing-dir", "directory", "symlink")
+
+
+def output_path(tmp, flag: str, kind: str):
+    """A path of the given kind for flag, made ready under tmp."""
+    path = tmp / flag.lstrip("-")
+    if kind == "existing":
+        path.write_text(f"old {flag}\n")
+    elif kind == "missing-dir":
+        path = tmp / "nodir" / path.name
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "symlink":
+        (tmp / "real").mkdir(exist_ok=True)
+        (tmp / "real" / path.name).write_text(f"old {flag}\n")
+        path.symlink_to(tmp / "real" / path.name)
+    return path
+
+
+class TestOutputProperty:
+    # run_cli keeps no state between calls, and each example writes to a
+    # fresh directory, so sharing the fixtures across examples is safe.
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(sorted(OUTPUT_COMMANDS)), fault=st.sampled_from(FAULTS),
+           out_kind=st.sampled_from(OUTPUT_KINDS),
+           svg_kind=st.sampled_from((None, "same-as-out", *OUTPUT_KINDS)))
+    @example(command="scan", fault="valid", out_kind="symlink", svg_kind="existing")  # exit 0
+    @example(command="scan", fault="valid", out_kind="existing",
+             svg_kind="missing-dir")  # exit 3
+    def test_only_a_success_changes_files_and_only_its_outputs(
+            self, run_cli, schemas, tmp_path_factory, command, fault, out_kind, svg_kind):
+        tmp = Path(os.path.realpath(tmp_path_factory.mktemp("outputs")))
+        (tmp / "bad.csv").write_text("r_c_m,lambda_s_inv\n1e-8,0\n")
+        (tmp / "bystander").write_text("kept\n")
+        argv, faults = OUTPUT_COMMANDS[command]
+        outputs = [output_path(tmp, "--out", out_kind)]
+        argv = [*argv, *(str(a).format(tmp=tmp) for a in faults.get(fault, ())),
+                "--out", outputs[0]]
+        if command == "scan" and svg_kind:
+            outputs.append(outputs[0] if svg_kind == "same-as-out"
+                           else output_path(tmp, "--svg", svg_kind))
+            argv += ["--svg", outputs[1]]
+        before = snapshot(tmp)
+        r = run_cli(*argv)
+        after = snapshot(tmp)
+        assert r.code in (0, 2, 3, 4)
+        assert not [path for path in after if path.endswith(".tmp")]
+        if r.code:
+            jsonschema.validate(strict_json(r.err), schemas["error"])
+            assert after == before
+        else:
+            changed = {path for path in before.keys() | after.keys()
+                       if before.get(path) != after.get(path)}
+            assert changed <= {os.path.realpath(path) for path in outputs}
+            assert all(os.path.isfile(path) for path in outputs)
 
 
 class TestCoverage:
