@@ -24,8 +24,8 @@ _EXPORTS = {
     "bayes": ("CredibleLimit", "PosteriorSpec", "gamma_quantile", "harmonic_sum",
               "lambda_credible_limit", "posterior_spec", "reg_inc_gamma"),
     "chi2fit": ("FitResult", "alpha_upper_limit", "fit_alpha", "normal_quantile"),
-    "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "HISTORICAL_LAMBDA_LIMITS",
-                  "IGEX_EXPOSURE", "PhysicalConstants", "conversion", "coupling_mass_energy",
+    "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "IGEX_EXPOSURE",
+                  "PhysicalConstants", "conversion", "coupling_mass_energy",
                   "dimensionless_coupling", "exposure_factor"),
     "errors": ("InsufficientDataError", "NumericalError", "SelectionEmptyError",
                "SpectrumFormatError", "SpontradError", "ValidationError"),
@@ -33,7 +33,7 @@ _EXPORTS = {
              "load_overlay_boundary", "log_grid", "save_curves", "scan"),
     "spectrum": ("BinnedSpectrum", "EnergyBin", "RangeSelection", "load_spectrum",
                  "save_spectrum", "select", "total_counts"),
-    "svg": ("render_exclusion_svg", "save_exclusion_svg"),
+    "svg": ("render_exclusion_svg",),
     "synth": ("CoverageReport", "SynthConfig", "run_coverage", "sample_spectrum"),
 }
 _SOURCES = {name: module for module, names in _EXPORTS.items() for name in names}

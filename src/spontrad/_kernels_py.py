@@ -15,17 +15,24 @@ Contents:
                           guess inside a bracket of a few sqrt(s)
   * normal_quantile    -- Acklam rational initial guess + one Halley step on
                           the erfc-based normal CDF
-  * Rng                -- xoshiro256** stream seeded through splitmix64
+  * uniform_stream     -- the xoshiro256** stream from a given state, as
+                          uniform doubles; Rng seeds it through splitmix64
+  * lane_uniforms      -- the streams of a block of trials of one seed,
+                          stepped together in 128-bit lanes of one int and
+                          continued by uniform_stream, bit for bit the
+                          streams Rng gives them one by one
   * poisson_plan       -- the Poisson sampler's state for a list of means,
-                          drawn by Rng.poisson_counts: inversion of one
-                          uniform below mean 30, on running sums that grow
-                          as the draws reach them, and PTRS transformed
-                          rejection from 30 with a shared log-factorial memo
+                          drawn by poisson_counts from any stream of
+                          uniforms: inversion of one uniform below mean 30,
+                          on running sums that grow as the draws reach them,
+                          and PTRS transformed rejection from 30 with a
+                          shared log-factorial memo
 """
 
 import math
+import sys
 from bisect import bisect_right
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -324,14 +331,27 @@ def normal_quantile(p):
     return -x if flip else x
 
 
-def _splitmix64(state):
-    """One splitmix64 step; returns (output, next_state)."""
-    state = (state + _GOLDEN) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z, state
+def _mix(z, mask):
+    """splitmix64's output function on each word of z under mask.
+
+    mask = _MASK64 is one word; a lane mask (see lane_uniforms) is one word
+    per 128-bit lane.  Each product is taken on masked words, so a lane's
+    product stays inside its lane.
+    """
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def _xoshiro_state(x, mask, gold):
+    """The xoshiro256** state that Rng seeds from x, word by word under mask:
+    the four splitmix64 outputs after x.  gold is _GOLDEN in every word."""
+    state = []
+    for _ in range(4):
+        x = (x + gold) & mask
+        state.append(_mix(x, mask))
+    return state
+
 
 def mix_seed(seed, index):
     """Stream seed for (seed, index): splitmix64 of seed XOR index*golden.
@@ -339,36 +359,18 @@ def mix_seed(seed, index):
     index*golden mod 2^64 is a bijection of the index, so distinct indices
     give distinct states; the splitmix64 output scrambles them.
     """
-    state = (seed ^ ((index * _GOLDEN) & _MASK64)) & _MASK64
-    value, _ = _splitmix64(state)
-    return value
+    return _mix(((seed ^ index * _GOLDEN) + _GOLDEN) & _MASK64, _MASK64)
 
 
-class Rng:
-    """xoshiro256** pseudo-random stream (Blackman & Vigna), splitmix64-seeded.
+def uniform_stream(s0, s1, s2, s3):
+    """The xoshiro256** stream (Blackman & Vigna, ACM TOMS 47 (2021) 36) from
+    the state (s0, s1, s2, s3), as uniform doubles in [0, 1): the top 53 bits
+    of each 64-bit output, scaled by 2^-53.
 
-    Deterministic and platform-independent: the integer stream is exact, and
-    uniform() uses only the top 53 bits, so every downstream draw is fixed by
-    the seed.
+    The state lives in the generator's locals, so a draw is one resume that
+    makes no further calls.
     """
-
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
-
-    def __init__(self, seed):
-        state = seed & _MASK64
-        self._s0, state = _splitmix64(state)
-        self._s1, state = _splitmix64(state)
-        self._s2, state = _splitmix64(state)
-        self._s3, state = _splitmix64(state)
-
-    def uniform(self):
-        """Uniform double in [0, 1): the top 53 bits of the next 64-bit
-        output, scaled by 2^-53.
-
-        The xoshiro256** step and both rotations are written out in place,
-        so it makes no further calls.
-        """
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+    while True:
         r = (s1 * 5) & _MASK64
         result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
         t = (s1 << 17) & _MASK64
@@ -378,112 +380,156 @@ class Rng:
         s0 ^= s3
         s2 ^= t
         s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return (result >> 11) * _INV_2POW53
+        yield (result >> 11) * _INV_2POW53
+
+
+class Rng:
+    """xoshiro256** pseudo-random stream, splitmix64-seeded.
+
+    uniform() is the next draw of uniform_stream from the seed's state.
+    Deterministic and platform-independent: the integer stream is exact, and
+    a uniform uses only the top 53 bits, so every downstream draw is fixed by
+    the seed.
+    """
+
+    __slots__ = ("uniform",)
+
+    def __init__(self, seed):
+        self.uniform = uniform_stream(*_xoshiro_state(seed & _MASK64, _MASK64,
+                                                      _GOLDEN)).__next__
 
     def poisson(self, mean):
         """One Poisson sample, drawn from a plan built for it alone."""
-        return self.poisson_counts(poisson_plan((mean,)))[0]
+        return poisson_counts(poisson_plan((mean,)), self.uniform)[0]
 
-    def poisson_counts(self, plan):
-        """The counts of plan = poisson_plan(means), one per mean, in order.
 
-        Below mean 30 a count takes one uniform u and is the first k whose
-        running sum exceeds u.  The sums are those of the terms
-        exp(-mean) * mean**k / k!, each the last times mean / k: u below
-        the last sum bisects them, and u at or past it grows them until one
-        exceeds u.  Growth forms the last term again in that order, so it
-        is the same double.  The sums stop growing where the next term no
-        longer changes them, which happens only past the mode (before it
-        each term is over 1/31 of the sum), where the terms only shrink: a
-        u at or above that sum walks on until the term underflows, and
-        that k is the count.  From 30 on, Hormann's PTRS (Insurance: Math.
-        & Econ. 12 (1993) 39) takes pairs of uniforms until one is
-        accepted.  A PTRS squeeze miss reads log_gamma(k + 1.0) from the
-        plan's memo, and computes and stores it on the first miss at that
-        k.  The xoshiro256** step is written out as in uniform(), with the
-        state in locals for the whole grid.
-        """
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        counts = []
-        for cdf, state in zip(*plan):
-            if cdf is None:
-                # A zero mean, or PTRS with the constants in state.
-                if state is None:
-                    counts.append(0)
-                    continue
-                mean, loglam, a, b, vr, log_invalpha, log_factorial = state
-                for _ in range(10000):
-                    r = (s1 * 5) & _MASK64
-                    result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
-                    t = (s1 << 17) & _MASK64
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-                    u = (result >> 11) * _INV_2POW53 - 0.5
-                    r = (s1 * 5) & _MASK64
-                    result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
-                    t = (s1 << 17) & _MASK64
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-                    v = (result >> 11) * _INV_2POW53
-                    us = 0.5 - abs(u)
-                    k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-                    if us >= 0.07 and v <= vr:
-                        break
-                    if k < 0 or (us < 0.013 and v > us):
-                        continue
-                    log_k_factorial = log_factorial.get(k)
-                    if log_k_factorial is None:
-                        log_k_factorial = log_factorial[k] = log_gamma(k + 1.0)
-                    if (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
-                            <= k * loglam - mean - log_k_factorial):
-                        break
-                else:
-                    raise ValueError(
-                        f"poisson rejection sampler failed to accept (mean={mean})")
-                counts.append(int(k))
+# A lane stream holds one 64-bit word per stream in a 128-bit lane of one int,
+# the word of stream j at bit 128 j.  The 64 bits above each word stay clear,
+# so nothing carries into the next lane: a xoshiro256** step's products and
+# left shifts reach at most 45 bits past the word, and splitmix64's products
+# of a masked word by a 64-bit constant at most 64.  A right shift moves the
+# next lane's low bits only into those clear bits, where the mask drops them.  Lanes are read out as 16-byte
+# little-endian chunks through array("Q"), which is native-endian, so a
+# big-endian host swaps each word's bytes.  array is imported where it is
+# used: every command loads this module, and only a coverage study draws
+# lanes.
+def _lanes(words):
+    """One int holding words[j] in lane j."""
+    return int.from_bytes(b"".join(word.to_bytes(16, "little") for word in words), "little")
+
+
+def _words(values, count):
+    """The words in lanes 0..count-1 of each of values, in order, as one array."""
+    from array import array
+    packed = array("Q", b"".join(value.to_bytes(16 * count, "little") for value in values))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed[::2]
+
+
+def lane_uniforms(seed, start, stop, steps):
+    """One uniform callable per trial start..stop-1 of seed, drawn together.
+
+    Trial i's callable gives the stream of Rng(mix_seed(seed, i)).uniform,
+    draw for draw.  Its first `steps` uniforms are its row: every trial's
+    splitmix64 seeding and xoshiro256** steps run at once, one lane per trial.
+    The draws after the row come from uniform_stream at the lane's final
+    state, so a trial that needs more uniforms goes on where Rng would.
+    """
+    count = stop - start
+    ones = _lanes([1] * count)
+    mask = ones * _MASK64
+    gold = ones * _GOLDEN
+    top53 = ones * (2 ** 53 - 1)
+    x = _lanes([(seed ^ i * _GOLDEN) & _MASK64 for i in range(start, stop)])
+    s0, s1, s2, s3 = _xoshiro_state(_mix((x + gold) & mask, mask), mask, gold)
+    outputs = []
+    for _ in range(steps):
+        r = (s1 * 5) & mask
+        outputs.append((((((r << 7) | (r >> 57)) & mask) * 9) >> 11) & top53)
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+    flat = [word * _INV_2POW53 for word in _words(outputs, count)]
+    state = _words((s0, s1, s2, s3), count)
+    return [chain(flat[j::count], uniform_stream(*state[j::count])).__next__
+            for j in range(count)]
+
+
+def poisson_counts(plan, uniform):
+    """The counts of plan = poisson_plan(means), one per mean, in order, from
+    the uniforms that successive uniform() calls give.
+
+    Below mean 30 a count takes one uniform u and is the first k whose
+    running sum exceeds u.  The sums are those of the terms
+    exp(-mean) * mean**k / k!, each the last times mean / k: u below
+    the last sum bisects them, and u at or past it grows them until one
+    exceeds u.  Growth forms the last term again in that order, so it
+    is the same double.  The sums stop growing where the next term no
+    longer changes them, which happens only past the mode (before it
+    each term is over 1/31 of the sum), where the terms only shrink: a
+    u at or above that sum walks on until the term underflows, and
+    that k is the count.  From 30 on, Hormann's PTRS (Insurance: Math.
+    & Econ. 12 (1993) 39) takes pairs of uniforms until one is
+    accepted.  A PTRS squeeze miss reads log_gamma(k + 1.0) from the
+    plan's memo, and computes and stores it on the first miss at that
+    k.  A zero mean takes no uniform.
+    """
+    counts = []
+    for cdf, state in zip(*plan):
+        if cdf is None:
+            # A zero mean, or PTRS with the constants in state.
+            if state is None:
+                counts.append(0)
                 continue
-            r = (s1 * 5) & _MASK64
-            result = ((((r << 7) | (r >> 57)) & _MASK64) * 9) & _MASK64
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            u = (result >> 11) * _INV_2POW53
-            if u < cdf[-1]:
-                counts.append(bisect_right(cdf, u))
-                continue
-            mean = state
-            k = len(cdf) - 1
-            prob = cdf[0]
-            if k:  # a fresh table has no terms to form again
-                for j in range(1, k + 1):
-                    prob *= mean / j
-            cum = cdf[-1]
-            while True:
-                k += 1
-                prob *= mean / k
-                if cum + prob > cum:
-                    cum += prob
-                    cdf.append(cum)
-                    if u < cum:
-                        break
-                elif prob <= 0.0:
+            mean, loglam, a, b, vr, log_invalpha, log_factorial = state
+            for _ in range(10000):
+                u = uniform() - 0.5
+                v = uniform()
+                us = 0.5 - abs(u)
+                k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+                if us >= 0.07 and v <= vr:
                     break
-            counts.append(k)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return counts
+                if k < 0 or (us < 0.013 and v > us):
+                    continue
+                log_k_factorial = log_factorial.get(k)
+                if log_k_factorial is None:
+                    log_k_factorial = log_factorial[k] = log_gamma(k + 1.0)
+                if (math.log(v) + log_invalpha - math.log(a / (us * us) + b)
+                        <= k * loglam - mean - log_k_factorial):
+                    break
+            else:
+                raise ValueError(
+                    f"poisson rejection sampler failed to accept (mean={mean})")
+            counts.append(int(k))
+            continue
+        u = uniform()
+        if u < cdf[-1]:
+            counts.append(bisect_right(cdf, u))
+            continue
+        mean = state
+        k = len(cdf) - 1
+        prob = cdf[0]
+        if k:  # a fresh table has no terms to form again
+            for j in range(1, k + 1):
+                prob *= mean / j
+        cum = cdf[-1]
+        while True:
+            k += 1
+            prob *= mean / k
+            if cum + prob > cum:
+                cum += prob
+                cdf.append(cum)
+                if u < cum:
+                    break
+            elif prob <= 0.0:
+                break
+        counts.append(k)
+    return counts
 
 
 def _ptrs_constants(mean):
@@ -498,7 +544,7 @@ def _ptrs_constants(mean):
 
 
 def poisson_plan(means):
-    """The sampler state that Rng.poisson_counts draws counts from.
+    """The sampler state that poisson_counts draws counts from.
 
     Two lists, sums and states, one entry per mean: below 30, the inversion
     running sums, at first [exp(-mean)] alone, and the mean; from 30 up,

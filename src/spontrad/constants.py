@@ -129,15 +129,3 @@ def conversion(coupling: CouplingMode, r_c: float,
     if not (value > 0 and math.isfinite(value)):
         raise ValidationError(f"conversion must be positive and finite, got {value}")
     return value
-
-
-# Earlier published collapse-rate bounds at r_C = 1e-7 m, from Ge slab emission
-# data (Fu's four-valence-electron analysis of the preliminary TWIN set, and
-# the later re-analysis of the corrected data).  Documentation only; nothing
-# here is recomputed.
-HISTORICAL_LAMBDA_LIMITS = {
-    "fu-twin-mass-prop": 2.20e-10,
-    "fu-twin-non-mass-prop": 0.55e-16,
-    "slab-reanalysis-mass-prop": 8e-10,
-    "slab-reanalysis-non-mass-prop": 2e-16,
-}

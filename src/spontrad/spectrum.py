@@ -20,9 +20,10 @@ _OVERLAP_TOL = 1e-9
 # Most points any generated grid (bin centers, correlation lengths) may have;
 # the count is checked before the grid is built.
 MAX_GRID_POINTS = 10 ** 6
-# Most trials a coverage study may run.  At about 7700 trials per second on
-# one CPU (3000-trial studies at alpha 1000, either route), 10**6 trials take
-# about two minutes; the count is checked before any trial is set up.
+# Most trials a coverage study may run.  At about 18000 trials per second on
+# one CPU (serial 3000-trial studies at alpha 1000, either route, on a shared
+# 2-vCPU host), 10**6 trials take about a minute; the count is checked before
+# any trial is set up.
 MAX_TRIALS = 10 ** 6
 # Most bytes read from an input file: room for 10**6 spectrum rows of up to
 # 64 characters.  At most one byte more is read to tell a file is larger.

@@ -10,7 +10,6 @@ output is a deterministic function of the inputs.
 import math
 
 from .errors import ValidationError
-from .spectrum import write_texts
 
 WIDTH = 800
 HEIGHT = 600
@@ -202,9 +201,3 @@ def render_exclusion_svg(curves, references=(), overlay=(), title="") -> str:
                  f'{(frame.top + frame.bottom) / 2:.2f})">collapse rate [1/s]</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def save_exclusion_svg(path, curves, references=(), overlay=(), title="") -> None:
-    """Render and write the plot; identical inputs give identical bytes."""
-    write_texts((path, render_exclusion_svg(curves, references=references, overlay=overlay,
-                                            title=title)))

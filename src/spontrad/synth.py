@@ -7,6 +7,7 @@ portable generator in the kernels backend, with per-trial streams derived
 from (seed, trial index), so every artifact here is bit-reproducible.
 """
 
+import functools
 import math
 import os
 import threading
@@ -22,10 +23,17 @@ from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, ce
 
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
-# Fewest trials a forked worker is given.  A fork and the copy-on-write
-# faults after it cost a few ms; on 2 CPUs a bayes study (the cheaper trials)
-# split in two gained only from about 450 trials, a chi2 study from about 130.
+# Fewest trials a forked worker is given, so that a fork (a few ms with the
+# copy-on-write faults after it) splits only studies whose trials cost more.
 MIN_TRIALS_PER_WORKER = 256
+# A study draws its trials in blocks of up to _BLOCK_TRIALS lane streams
+# (kernels.lane_uniforms), and a block's rows hold at most about
+# _BLOCK_UNIFORMS uniforms: a wide grid takes fewer trials per block, and a
+# block of one trial takes its scalar stream.
+_BLOCK_TRIALS = 256
+_BLOCK_UNIFORMS = 2 ** 16
+# Most distinct (total, harmonic sum, confidence) bayes limits kept.
+_BAYES_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -137,13 +145,57 @@ def draw_counts(config: SynthConfig, plan, trial_index: int = 0) -> list:
     plan is kernels.poisson_plan(config.bin_means()); a study draws every
     trial from the same plan.
     """
-    return kernels.Rng(kernels.mix_seed(config.seed, trial_index)).poisson_counts(plan)
+    uniform = kernels.Rng(kernels.mix_seed(config.seed, trial_index)).uniform
+    return kernels.poisson_counts(plan, uniform)
+
+
+def _trial_streams(seed: int, start: int, stop: int, plan):
+    """The uniform callable of each trial start..stop-1 of seed, in order.
+
+    A block's rows hold about the uniforms a trial draws from plan: one per
+    inversion mean and 5/2 per PTRS mean (two per attempt, and PTRS accepts
+    about four attempts in five at the means of a coverage study).  A trial
+    that draws more goes on in its scalar stream.
+    """
+    sums, states = plan
+    inversion = sum(cdf is not None for cdf in sums)
+    ptrs = sum(cdf is None and state is not None for cdf, state in zip(sums, states))
+    row = inversion + math.ceil(2.5 * ptrs)
+    block = max(1, min(_BLOCK_TRIALS, _BLOCK_UNIFORMS // max(row, 1)))
+    for first in range(start, stop, block):
+        last = min(first + block, stop)
+        if last - first == 1:
+            yield kernels.Rng(kernels.mix_seed(seed, first)).uniform
+        else:
+            yield from kernels.lane_uniforms(seed, first, last, row)
+
+
+# The checked grid and Poisson plan of the last config sample_spectrum drew,
+# per thread, since a plan is not shared across threads.
+_last_grid = threading.local()
+
+
+def _grid(config: SynthConfig) -> tuple:
+    """(centers, plan) of config, reused from the thread's last config when
+    every field but the seed is the same value of the same type.
+
+    Counts do not depend on how far a plan has grown, so reuse changes no
+    spectrum.
+    """
+    values = (config.alpha_true, config.e_min, config.e_max, config.bin_width,
+              config.flat_background_per_bin)
+    key = values, tuple(map(type, values))
+    last = getattr(_last_grid, "value", None)
+    if last is None or last[0] != key:
+        centers = config.centers()
+        plan = kernels.poisson_plan(_checked_means(config, centers))
+        last = _last_grid.value = key, centers, plan
+    return last[1], last[2]
 
 
 def sample_spectrum(config: SynthConfig, trial_index: int = 0) -> BinnedSpectrum:
     """Draw one spectrum; identical (config, trial_index) gives identical bins."""
-    centers = config.centers()
-    plan = kernels.poisson_plan(_checked_means(config, centers))
+    centers, plan = _grid(config)
     width = config.bin_width
     return BinnedSpectrum(
         bins=tuple(EnergyBin(center=c, width=width, counts=n)
@@ -151,6 +203,7 @@ def sample_spectrum(config: SynthConfig, trial_index: int = 0) -> BinnedSpectrum
         source_label=f"synth(seed={config.seed},trial={trial_index})")
 
 
+@functools.lru_cache(maxsize=_BAYES_MEMO_SIZE)
 def _bayes_limit(y_total: int, harmonic: float, confidence: float) -> float:
     # Amplitude-space posterior: expected total = alpha * harmonic_sum,
     # so reuse the rate machinery with a unit conversion factor.
@@ -247,13 +300,14 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     """Fraction of per-trial upper limits that lie at or above alpha_true.
 
     Each trial gives the limit alpha_limit_for_trial gives on
-    sample_spectrum(config, i), computed on plain count lists.  A bayes
-    limit depends on the trial only through its total count, so it is
-    computed once per distinct total.  A chi2 limit is alpha_upper_limit's
-    expression on closed_form's sums, with the normal quantile taken once
-    per study: no FitResult is built and no chi2 is summed.  The trials are
-    split across the CPUs the process may use (_split_trials); the report
-    does not depend on how.
+    sample_spectrum(config, i), computed on plain count lists.  The counts
+    come from the trials' own streams, drawn a block of trials at a time
+    (_trial_streams).  A bayes limit depends on the trial only through its
+    total count, so it is computed once per distinct total.  A chi2 limit
+    is alpha_upper_limit's expression on closed_form's sums, with the
+    normal quantile taken once per study: no FitResult is built and no chi2
+    is summed.  The trials are split across the CPUs the process may use
+    (_split_trials); the report does not depend on how.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -275,8 +329,8 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
         """(covered, skipped) over trials start..stop-1."""
         limits = {}
         covered = skipped = 0
-        for i in range(start, stop):
-            counts = draw_counts(config, plan, i)
+        for uniform in _trial_streams(config.seed, start, stop, plan):
+            counts = kernels.poisson_counts(plan, uniform)
             if method == "bayes":
                 y_total = sum(counts)
                 limit = limits.get(y_total)

@@ -1,19 +1,20 @@
 """Kernels: correctness oracles, stream regression, the Poisson plan.
 
-The special functions are checked against scipy, the RNG against an
-independent reimplementation of the published recurrences, and the Poisson
-plan against the loop sampler below.
+The special functions are checked against scipy, the RNG and its lane
+stream against an independent reimplementation of the published
+recurrences, and the Poisson plan against the loop sampler below.
 """
 
 import math
 
 import mpmath
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
 from spontrad import _kernels_py
+from spontrad.spectrum import MAX_TRIALS
 
 
 @pytest.fixture(params=[pytest.param(_kernels_py, id="python")])
@@ -64,12 +65,15 @@ class _RefXoshiro:
         return out
 
 
-def next_u64(rng):
-    """rng's next 64-bit output: the output of its state, which
-    rng.uniform() then steps past, so the step is the package's own."""
-    out = _ref_output(rng._s1)
-    rng.uniform()
-    return out
+def _ref_uniform(out):
+    """The uniform of a 64-bit output: its top 53 bits, scaled by 2**-53.
+    The package draws only these, so its low 11 bits are never observed."""
+    return (out >> 11) * 2.0 ** -53
+
+
+def _seeded(seed):
+    """The package's xoshiro256** state for Rng(seed)."""
+    return _kernels_py._xoshiro_state(seed % _M, _M - 1, 0x9E3779B97F4A7C15)
 
 
 # --- reference sampler -------------------------------------------------------
@@ -127,20 +131,34 @@ class TestIntegerStream:
                                                (42, SEED42_FIRST3)])
     def test_frozen_first_outputs(self, kern, seed, expected):
         rng = kern.Rng(seed)
-        assert tuple(next_u64(rng) for _ in range(3)) == expected
+        assert tuple(rng.uniform() for _ in range(3)) == tuple(map(_ref_uniform, expected))
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 63, 2 ** 64 - 1])
     def test_matches_reference_recurrence(self, kern, seed):
         ref = _RefXoshiro(seed)
-        rng = kern.Rng(seed)
-        assert [next_u64(rng) for _ in range(200)] == [ref.next()
-                                                       for _ in range(200)]
+        assert _seeded(seed) == ref.state
+        stream = kern.uniform_stream(*_seeded(seed))
+        assert [next(stream) for _ in range(200)] == [_ref_uniform(ref.next())
+                                                      for _ in range(200)]
 
-    def test_outputs_span_64_bits(self, kern):
+    @settings(max_examples=50, deadline=None)
+    @given(state=st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1),
+                          min_size=4, max_size=4))
+    def test_steps_from_any_state_match_the_reference(self, state):
+        # The scalar stream's seam: the package's step, started from any
+        # state, follows the recurrence.
+        ref = _RefXoshiro(0)
+        ref.state = list(state)
+        stream = _kernels_py.uniform_stream(*state)
+        assert [next(stream) for _ in range(20)] == [_ref_uniform(ref.next())
+                                                     for _ in range(20)]
+
+    def test_outputs_span_53_bits(self, kern):
         rng = kern.Rng(123)
-        values = [next_u64(rng) for _ in range(2000)]
-        assert all(0 <= v < 2 ** 64 for v in values)
-        assert any(v >> 63 for v in values)
+        values = [int(rng.uniform() * 2.0 ** 53) for _ in range(2000)]
+        assert all(0 <= v < 2 ** 53 for v in values)
+        assert any(v >> 52 for v in values)
+        assert any(v & 1 for v in values)
 
     def test_mix_seed_matches_reference(self, kern):
         for seed, index in ((0, 0), (42, 1), (42, 2), (7, 10 ** 6)):
@@ -171,6 +189,32 @@ class TestUniform:
         rng = kern.Rng(seed)
         assert [rng.uniform() for _ in range(200)] == [(ref.next() >> 11) * 2.0 ** -53
                                                        for _ in range(200)]
+
+
+class TestLaneStream:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2 ** 63, 2 ** 64 - 1]),
+                          st.integers(min_value=0, max_value=2 ** 64 - 1)),
+           start=st.one_of(st.sampled_from([0, 255, 256, MAX_TRIALS - 1]),
+                           st.integers(min_value=0, max_value=MAX_TRIALS - 1)),
+           count=st.integers(min_value=1, max_value=300),
+           steps=st.integers(min_value=0, max_value=40),
+           past=st.integers(min_value=0, max_value=5))
+    @example(seed=0, start=0, count=1, steps=0, past=3)
+    @example(seed=2 ** 63, start=255, count=300, steps=40, past=5)
+    @example(seed=2 ** 64 - 1, start=256, count=2, steps=1, past=5)
+    @example(seed=2 ** 64 - 1, start=MAX_TRIALS - 1, count=300, steps=7, past=2)
+    def test_rows_and_continuations_are_the_trial_streams(self, seed, start, count, steps,
+                                                          past):
+        # Each trial's row, then past draws of the scalar stream after it,
+        # are the trial's own stream draw for draw.
+        streams = _kernels_py.lane_uniforms(seed, start, start + count, steps)
+        assert len(streams) == count
+        for i, uniform in enumerate(streams, start):
+            rng = _kernels_py.Rng(_kernels_py.mix_seed(seed, i))
+            draws = steps + past
+            assert [uniform() for _ in range(draws)] == [rng.uniform()
+                                                         for _ in range(draws)], i
 
 
 class TestPoisson:
@@ -276,7 +320,8 @@ class _FixedUniform:
 
 
 def _rng_at(u):
-    """A generator whose next uniform is u, a multiple of 2**-53 in [0, 1).
+    """The package's stream from a state whose next uniform is u, a multiple
+    of 2**-53 in [0, 1), as a uniform callable.
 
     The output of a state depends on its second word alone, as the
     invertible map rotl(s1 * 5, 7) * 9, so s1 is solved for the output
@@ -284,14 +329,13 @@ def _rng_at(u):
     """
     out = int(u * 2.0 ** 53) << 11
     x = out * pow(9, -1, _M) % _M
-    rng = _kernels_py.Rng(0)
-    rng._s1 = _ref_rotl(x, 57) * pow(5, -1, _M) % _M
-    return rng
+    s1 = _ref_rotl(x, 57) * pow(5, -1, _M) % _M
+    return _kernels_py.uniform_stream(0, s1, 0, 0).__next__
 
 
 def _draw_at(plan, u):
     """The count poisson_counts draws from a one-mean plan for uniform u."""
-    return _rng_at(u).poisson_counts(plan)[0]
+    return _kernels_py.poisson_counts(plan, _rng_at(u))[0]
 
 
 _TOP = 1.0 - 2.0 ** -53  # the largest uniform
@@ -313,8 +357,9 @@ class TestPoissonPlan:
         plan = kern.poisson_plan(means)
         planned, looped = kern.Rng(seed), kern.Rng(seed)
         for _ in range(3):
-            assert planned.poisson_counts(plan) == [poisson(looped, m) for m in means]
-        assert next_u64(planned) == next_u64(looped)
+            assert kern.poisson_counts(plan, planned.uniform) == [poisson(looped, m)
+                                                                  for m in means]
+        assert planned.uniform() == looped.uniform()
 
     def test_long_stream_matches_the_loop(self, kern):
         # The rare PTRS branches (the squeeze edges, the k < 0 cut) need
@@ -323,7 +368,8 @@ class TestPoissonPlan:
         plan = kern.poisson_plan(means)
         planned, looped = kern.Rng(2024), kern.Rng(2024)
         for _ in range(5000):
-            assert planned.poisson_counts(plan) == [poisson(looped, m) for m in means]
+            assert kern.poisson_counts(plan, planned.uniform) == [poisson(looped, m)
+                                                                  for m in means]
 
     def test_reused_plan_matches_the_loop_with_cold_and_warm_memo(self, kern):
         # A study draws every trial from one plan.  Its PTRS entries share
@@ -339,8 +385,9 @@ class TestPoissonPlan:
             for i in range(2000):
                 planned = kern.Rng(kern.mix_seed(11, i))
                 looped = kern.Rng(kern.mix_seed(11, i))
-                assert planned.poisson_counts(plan) == [poisson(looped, m) for m in means]
-                assert next_u64(planned) == next_u64(looped)
+                assert kern.poisson_counts(plan, planned.uniform) == [poisson(looped, m)
+                                                                      for m in means]
+                assert planned.uniform() == looped.uniform()
 
         draw_every_stream()
         filled = dict(memo)
@@ -357,8 +404,9 @@ class TestPoissonPlan:
         means = [0.05, 0.7, 3.0, 7.67, 18.12, 29.9, 47.3, 115.0]
         forwards, backwards = kern.poisson_plan(means), kern.poisson_plan(means)
         trials = range(500)
-        ahead = [kern.Rng(kern.mix_seed(3, i)).poisson_counts(forwards) for i in trials]
-        behind = [kern.Rng(kern.mix_seed(3, i)).poisson_counts(backwards)
+        ahead = [kern.poisson_counts(forwards, kern.Rng(kern.mix_seed(3, i)).uniform)
+                 for i in trials]
+        behind = [kern.poisson_counts(backwards, kern.Rng(kern.mix_seed(3, i)).uniform)
                   for i in reversed(trials)]
         assert ahead == behind[::-1]
         assert forwards == backwards
@@ -370,7 +418,7 @@ class TestPoissonPlan:
             cdf = plan[0][0]
             assert cdf == [math.exp(-mean)]
             u = kern.Rng(kern.mix_seed(9, i)).uniform()
-            k, = kern.Rng(kern.mix_seed(9, i)).poisson_counts(plan)
+            k, = kern.poisson_counts(plan, kern.Rng(kern.mix_seed(9, i)).uniform)
             # The sums end at the first one above u, which gives the count.
             assert len(cdf) == k + 1
             assert cdf[-1] > u
@@ -407,7 +455,7 @@ class TestPoissonPlan:
 
     def test_generator_at_a_uniform(self):
         for m in (0, 1, 123_456_789, 2 ** 52, 2 ** 53 - 1):
-            assert _rng_at(m * 2.0 ** -53).uniform() == m * 2.0 ** -53
+            assert _rng_at(m * 2.0 ** -53)() == m * 2.0 ** -53
 
     @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
     def test_invalid_mean(self, kern, bad):

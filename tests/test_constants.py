@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from spontrad.constants import (CODATA2018, CouplingMode, ExposureConfig,
-                                HISTORICAL_LAMBDA_LIMITS, IGEX_EXPOSURE,
+from spontrad.constants import (CODATA2018, CouplingMode, ExposureConfig, IGEX_EXPOSURE,
                                 coupling_mass_energy, dimensionless_coupling,
                                 exposure_factor)
 from spontrad.errors import ValidationError
@@ -90,10 +89,3 @@ def test_exposure_rejects_each_field_outside_its_domain(field, value):
     with pytest.raises(ValidationError) as info:
         ExposureConfig(**{field: value})
     assert str(info.value) == f"{field} must be positive and finite, got {value}"
-
-
-def test_historical_limits_catalog():
-    assert HISTORICAL_LAMBDA_LIMITS["fu-twin-mass-prop"] == 2.20e-10
-    assert HISTORICAL_LAMBDA_LIMITS["fu-twin-non-mass-prop"] == 0.55e-16
-    assert HISTORICAL_LAMBDA_LIMITS["slab-reanalysis-mass-prop"] == 8e-10
-    assert HISTORICAL_LAMBDA_LIMITS["slab-reanalysis-non-mass-prop"] == 2e-16

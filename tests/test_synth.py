@@ -2,13 +2,17 @@
 
 import math
 import os
+import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from scipy import special
 
 from spontrad import synth
 from spontrad.backend import kernels
+from spontrad.bayes import harmonic_sum
 from spontrad.errors import (InsufficientDataError, NumericalError, SelectionEmptyError,
                              ValidationError)
 from spontrad.synth import (CoverageReport, SynthConfig, alpha_limit_for_trial,
@@ -102,6 +106,65 @@ class TestSampleSpectrum:
             sample_spectrum(over)
         with pytest.raises(ValidationError, match="2\\*\\*52"):
             run_coverage(over, 3, "bayes", 0.95)
+
+
+def _in_new_thread(fn):
+    """fn() in a thread of its own, whose grid cache starts empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    return out[0]
+
+
+class TestReusedGrid:
+    def test_a_grid_is_reused_only_for_the_same_typed_values(self):
+        # Equal configs of int and float fields have centers of their own
+        # types, so the float grid is not reused for the int config.
+        floats = SynthConfig(alpha_true=115.0, seed=1, **WINDOW)
+        ints = SynthConfig(alpha_true=115, e_min=15, e_max=48, bin_width=1, seed=1)
+        assert floats == ints
+        fresh = _in_new_thread(lambda: repr(sample_spectrum(ints)))
+        sample_spectrum(floats)
+        assert repr(sample_spectrum(ints)) == fresh
+        assert type(sample_spectrum(ints).bins[0].center) is int
+
+    def test_another_seed_reuses_the_grid_and_keeps_its_spectra(self):
+        cfg = SynthConfig(alpha_true=1000.0, seed=5, **WINDOW)
+        fresh = _in_new_thread(lambda: [sample_spectrum(replace(cfg, seed=6), i)
+                                        for i in range(20)])
+        sample_spectrum(cfg)
+        assert [sample_spectrum(replace(cfg, seed=6), i) for i in range(20)] == fresh
+
+    def test_threads_draw_from_plans_of_their_own(self):
+        # Each thread keeps its own last grid and plan, whose sums its draws
+        # grow.  Four threads on two CPUs, switching every microsecond, draw
+        # the same configs in turn; each must draw what one thread alone
+        # draws, which a plan grown by two threads at once could break.
+        configs = [SynthConfig(alpha_true=a, seed=3, **WINDOW) for a in (500.0, 1000.0)]
+
+        def spectra():
+            return [[sample_spectrum(c, i).bins for c in configs] for i in range(30)]
+
+        want = _in_new_thread(spectra)
+        got = {}
+
+        def draw(k):
+            got[k] = spectra()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=draw, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [got[k] for k in range(4)] == [want] * 4
 
 
 class TestAlphaLimitForTrial:
@@ -443,6 +506,133 @@ class TestSplitTrials:
         assert str(parallel.value) == str(serial.value)
 
 
+def _per_trial(cfg, trials, method, confidence=0.95):
+    """(covered, skipped) of trials 0..trials-1 by the one-off route:
+    alpha_limit_for_trial on sample_spectrum, trial by trial."""
+    covered = skipped = 0
+    for i in range(trials):
+        try:
+            limit = alpha_limit_for_trial(sample_spectrum(cfg, i), cfg, method, confidence)
+        except (InsufficientDataError, SelectionEmptyError):
+            skipped += 1
+            continue
+        covered += limit >= cfg.alpha_true
+    return covered, skipped
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("alpha", [115.0, 1000.0, 1e4, 0.0])
+    @pytest.mark.parametrize("start,stop", [(0, 600), (255, 258), (1500, 1800), (7, 8)])
+    def test_streams_give_each_trials_own_counts(self, alpha, start, stop):
+        # Whole and partial blocks, ranges off a block edge, a block of one;
+        # at alpha 1e4 every mean takes PTRS and rows often run out, at 0
+        # no mean takes a uniform.
+        cfg = SynthConfig(alpha_true=alpha, seed=20260823, **WINDOW)
+        plan = kernels.poisson_plan(cfg.bin_means())
+        drawn = [kernels.poisson_counts(plan, uniform)
+                 for uniform in synth._trial_streams(cfg.seed, start, stop, plan)]
+        assert drawn == [draw_counts(cfg, plan, i) for i in range(start, stop)]
+
+    @pytest.mark.parametrize("method,alpha,trials,workers", [
+        ("bayes", 115.0, 600, 1),    # two whole blocks and a partial one
+        ("bayes", 115.0, 3000, 2),   # the second range starts at 1500
+        ("chi2", 1000.0, 600, 3),    # three ranges of 200
+        ("chi2", 1e4, 520, 2),       # every mean on PTRS
+        ("bayes", 1e4, 300, 1),
+        ("bayes", 0.0, 300, 2),      # every mean zero
+    ])
+    def test_study_matches_the_per_trial_route(self, split, method, alpha, trials, workers):
+        cfg = SynthConfig(alpha_true=alpha, seed=20260823, **WINDOW)
+        covered, skipped = _per_trial(cfg, trials, method)
+        split(workers)
+        report = run_coverage(cfg, trials, method, 0.95)
+        assert (report.covered, report.skipped) == (covered, skipped)
+
+    def test_zero_grid_chi2_study_skips_every_trial(self, split):
+        cfg = SynthConfig(alpha_true=0.0, seed=3, **WINDOW)
+        assert _per_trial(cfg, 300, "chi2") == (0, 300)
+        split(2)
+        with pytest.raises(InsufficientDataError, match="all 300 trials were skipped"):
+            run_coverage(cfg, 300, "chi2", 0.95)
+
+    @pytest.mark.parametrize("bins,trials", [(10 ** 5, 2), (10 ** 4, 12)])
+    def test_making_the_streams_allocates_little(self, monkeypatch, bins, trials):
+        # A block's rows hold at most about _BLOCK_UNIFORMS uniforms, so
+        # making a stream allocates a few MB at most, however wide the grid:
+        # on 10^5 bins a row outgrows the block and each trial takes its
+        # scalar stream (under 1 KB), and on 10^4 bins a block holds 6
+        # trials (about 4.2 MB).  Two trials of 10^5 bins drawn as lanes
+        # would allocate about 23 MB.  Only the making of each stream is
+        # traced; the draws from it are not.
+        cfg = SynthConfig(alpha_true=1e4, e_min=10.0, e_max=10.0 + (bins - 1) * 0.01,
+                          bin_width=0.01, seed=1)
+        assert len(cfg.centers()) == bins
+        streams = synth._trial_streams
+        peaks = []
+
+        def traced(*args):
+            made = streams(*args)
+            while True:
+                tracemalloc.start()
+                try:
+                    uniform = next(made, None)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                if uniform is None:
+                    return
+                yield uniform
+
+        monkeypatch.setattr(synth, "_trial_streams", traced)
+        monkeypatch.setattr(synth, "MIN_TRIALS_PER_WORKER", 10 ** 9)
+        assert run_coverage(cfg, trials, "bayes", 0.95).trials == trials
+        assert len(peaks) == trials + 1
+        assert max(peaks) < 8 * 2 ** 20
+
+
+class TestExactBayesCoverage:
+    """A bayes limit grows with the trial's total Y, which is Poisson with
+    mean mu, the sum of the bin means.  So a study covers with probability
+    P(Y >= y*), y* the least total whose limit reaches alpha_true: scipy's
+    gammainc(y*, mu), or 1 where y* = 0.  This judges the sampler, the
+    plan, the block draws, the fork split and the memo by their statistics,
+    apart from the pinned counts."""
+
+    TRIALS = 1000
+
+    @staticmethod
+    def _exact(cfg, confidence):
+        harmonic = harmonic_sum(sample_spectrum(cfg).bins)
+
+        def reaches(y):
+            return synth._bayes_limit(y, harmonic, confidence) >= cfg.alpha_true
+
+        lo, hi = -1, 1
+        while not reaches(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # reaches(hi), and lo is -1 or does not reach
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+        if hi == 0:
+            return 1.0
+        return float(special.gammainc(hi, math.fsum(cfg.bin_means())))
+
+    @pytest.mark.parametrize("alpha", [5.0, 50.0, 115.0, 1000.0])
+    @pytest.mark.parametrize("background,confidence,window", [
+        (0.0, 0.95, WINDOW),
+        (0.5, 0.68, dict(e_min=10.0, e_max=30.0, bin_width=0.5)),
+        (0.0, 0.9, dict(e_min=20.0, e_max=60.0, bin_width=2.0)),
+    ])
+    def test_study_within_4_standard_errors(self, alpha, background, confidence, window):
+        cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background, seed=4242,
+                          **window)
+        exact = self._exact(cfg, confidence)
+        report = run_coverage(cfg, self.TRIALS, "bayes", confidence)
+        assert report.trials == self.TRIALS
+        bound = 4.0 * math.sqrt(exact * (1.0 - exact) / self.TRIALS)
+        assert abs(report.coverage_fraction - exact) <= bound, (exact, report.covered)
+
+
 class TestChi2StudyTalliesTrialLimits:
     @pytest.mark.parametrize("confidence", [0.68, 0.99])
     @pytest.mark.parametrize("background", [0.0, 2.0])
@@ -455,15 +645,7 @@ class TestChi2StudyTalliesTrialLimits:
         cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
                           seed=4242, **WINDOW)
         trials = 200
-        covered = skipped = 0
-        for i in range(trials):
-            try:
-                limit = alpha_limit_for_trial(sample_spectrum(cfg, i), cfg, "chi2",
-                                              confidence)
-            except (InsufficientDataError, SelectionEmptyError):
-                skipped += 1
-                continue
-            covered += limit >= alpha
+        covered, skipped = _per_trial(cfg, trials, "chi2", confidence)
         for workers in (1, 2):
             split(workers)
             report = run_coverage(cfg, trials, "chi2", confidence)
