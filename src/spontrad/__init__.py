@@ -24,9 +24,8 @@ _EXPORTS = {
     "bayes": ("CredibleLimit", "PosteriorSpec", "gamma_quantile", "harmonic_sum",
               "lambda_credible_limit", "posterior_spec", "reg_inc_gamma"),
     "chi2fit": ("FitResult", "alpha_upper_limit", "fit_alpha", "normal_quantile"),
-    "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "IGEX_EXPOSURE",
-                  "PhysicalConstants", "conversion", "coupling_mass_energy",
-                  "dimensionless_coupling", "exposure_factor"),
+    "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "IGEX_EXPOSURE", "conversion",
+                  "coupling_mass_energy", "dimensionless_coupling", "exposure_factor"),
     "errors": ("InsufficientDataError", "NumericalError", "SelectionEmptyError",
                "SpectrumFormatError", "SpontradError", "ValidationError"),
     "scan": ("ExclusionCurve", "ReferencePoint", "builtin_reference_points", "load_curves",

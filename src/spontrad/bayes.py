@@ -12,7 +12,6 @@ the upper limit.
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .backend import kernels
 from .constants import ExposureConfig, IGEX_EXPOSURE, check_confidence, conversion
@@ -53,47 +52,42 @@ def harmonic_sum(bins) -> float:
     return math.fsum((b.width / 1.0) / b.center for b in bins)
 
 
-@dataclass(frozen=True)
 class PosteriorSpec:
-    """Inputs of the gamma-form posterior over the expected total count."""
+    """Inputs of the gamma-form posterior over the expected total count; not frozen."""
 
-    y_total: int
-    harmonic_sum: float
-    conversion: float
+    __slots__ = ("y_total", "harmonic_sum", "conversion")
 
-    def __post_init__(self):
+    def __init__(self, y_total: int, harmonic_sum: float, conversion: float):
         try:
-            y = operator.index(self.y_total)
+            y = operator.index(y_total)
         except TypeError:
-            raise ValidationError(f"y_total must be an integer, got {self.y_total!r}") from None
-        object.__setattr__(self, "y_total", y)
+            raise ValidationError(f"y_total must be an integer, got {y_total!r}") from None
         if y < 0:
             raise ValidationError(f"y_total must be >= 0, got {y}")
         check_float_range(y, "y_total")
-        if not (self.harmonic_sum > 0 and math.isfinite(self.harmonic_sum)):
+        if not (harmonic_sum > 0 and math.isfinite(harmonic_sum)):
             raise ValidationError(
-                f"harmonic_sum must be positive and finite, got {self.harmonic_sum}")
-        if not (self.conversion > 0 and math.isfinite(self.conversion)):
+                f"harmonic_sum must be positive and finite, got {harmonic_sum}")
+        if not (conversion > 0 and math.isfinite(conversion)):
             raise ValidationError(
-                f"conversion must be positive and finite, got {self.conversion}")
+                f"conversion must be positive and finite, got {conversion}")
+        self.y_total, self.harmonic_sum, self.conversion = y, harmonic_sum, conversion
 
 
-@dataclass(frozen=True)
 class CredibleLimit:
     """Upper limit on the collapse rate and the count-space quantile behind it.
 
     lambda_cap is the quantile of the expected total count (the capital
-    Lambda variable) at the requested credibility.
+    Lambda variable) at the requested credibility.  Not frozen.
     """
 
-    lambda_upper: float
-    confidence: float
-    lambda_cap: float
+    __slots__ = ("lambda_upper", "confidence", "lambda_cap")
 
-    def __post_init__(self):
-        if not self.lambda_upper >= 0:
-            raise ValidationError(f"lambda_upper must be >= 0, got {self.lambda_upper}")
-        check_confidence(self.confidence)
+    def __init__(self, lambda_upper: float, confidence: float, lambda_cap: float):
+        if not lambda_upper >= 0:
+            raise ValidationError(f"lambda_upper must be >= 0, got {lambda_upper}")
+        check_confidence(confidence)
+        self.lambda_upper, self.confidence, self.lambda_cap = lambda_upper, confidence, lambda_cap
 
 
 def posterior_spec(y_total: int, bins, r_c: float, coupling,

@@ -11,7 +11,6 @@ and the one-sided upper bound at confidence q is alpha_hat + z(q)*sigma_alpha.
 """
 
 import math
-from dataclasses import dataclass
 
 from .backend import kernels
 from .constants import check_confidence
@@ -19,17 +18,17 @@ from .errors import InsufficientDataError, ValidationError
 from .spectrum import BinnedSpectrum
 
 
-@dataclass(frozen=True)
 class FitResult:
-    alpha_hat: float
-    sigma_alpha: float
-    chi2: float
-    n_bins: int
+    """The chi-square minimum of fit_counts; not frozen."""
 
-    def __post_init__(self):
-        _check_sigma(self.sigma_alpha)
-        if not self.n_bins > 1:
-            raise ValidationError(f"need more bins ({self.n_bins}) than parameters (1)")
+    __slots__ = ("alpha_hat", "sigma_alpha", "chi2", "n_bins")
+
+    def __init__(self, alpha_hat: float, sigma_alpha: float, chi2: float, n_bins: int):
+        _check_sigma(sigma_alpha)
+        if not n_bins > 1:
+            raise ValidationError(f"need more bins ({n_bins}) than parameters (1)")
+        self.alpha_hat, self.sigma_alpha, self.chi2, self.n_bins = (
+            alpha_hat, sigma_alpha, chi2, n_bins)
 
     @property
     def ndf(self) -> int:

@@ -7,26 +7,19 @@ keV, so the coupling constant absorbs every unit convention in one place.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 from .errors import ValidationError
 
 FM_PER_M = 1e15
 SECONDS_PER_DAY = 8.64e4
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 values; CODATA2018 is the one instance every formula reads."""
-
-    fine_structure_constant: float = 7.2973525693e-3
-    hbar_c_mev_fm: float = 197.3269804
-    proton_mass_mev: float = 938.27208816
-    electron_mass_mev: float = 0.51099895000
-
-
-CODATA2018 = PhysicalConstants()
+# CODATA 2018 values, the one set every formula reads.
+CODATA2018 = SimpleNamespace(fine_structure_constant=7.2973525693e-3,
+                             hbar_c_mev_fm=197.3269804,
+                             proton_mass_mev=938.27208816,
+                             electron_mass_mev=0.51099895000)
 
 # Limit constructions: chi-square fit or Poisson-count posterior.
 METHODS = ("chi2", "bayes")
@@ -87,24 +80,23 @@ def dimensionless_coupling(mass_energy_mev: float, r_c_m: float) -> float:
     return CODATA2018.fine_structure_constant * ratio * ratio / math.pi
 
 
-@dataclass(frozen=True)
 class ExposureConfig:
     """Factors whose product, with SECONDS_PER_DAY, converts a per-electron
     rate into expected counts.
 
     Defaults are the published IGEX 80 kg day Ge exposure with the 30 outermost
-    (quasi-free) electrons per atom emitting.
+    (quasi-free) electrons per atom emitting.  Not frozen.
     """
 
-    atoms_per_kg: float = 8.29e24
-    exposure_kg_day: float = 80.0
-    electrons_per_atom: float = 30.0
+    __slots__ = ("atoms_per_kg", "exposure_kg_day", "electrons_per_atom")
 
-    def __post_init__(self):
-        for name in ("atoms_per_kg", "exposure_kg_day", "electrons_per_atom"):
-            value = getattr(self, name)
+    def __init__(self, atoms_per_kg: float = 8.29e24, exposure_kg_day: float = 80.0,
+                 electrons_per_atom: float = 30.0):
+        values = atoms_per_kg, exposure_kg_day, electrons_per_atom
+        for name, value in zip(self.__slots__, values):
             if not (isinstance(value, (int, float)) and value > 0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
+        self.atoms_per_kg, self.exposure_kg_day, self.electrons_per_atom = values
 
 
 IGEX_EXPOSURE = ExposureConfig()

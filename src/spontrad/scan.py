@@ -11,50 +11,43 @@ grid span mirrors customary plots rather than a derived applicability bound.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
 from .constants import CouplingMode, check_confidence, check_method
 from .errors import ValidationError
-from .spectrum import check_grid_size, csv_rows, headed_csv_rows, write_texts
+from .spectrum import Record, check_grid_size, csv_rows, headed_csv_rows, write_texts
 
 CURVE_CSV_HEADER = "r_c_m,lambda_limit_s_inv,coupling,method,confidence"
 OVERLAY_CSV_HEADER = "r_c_m,lambda_s_inv"
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
-    """A literature (r_c, lambda) marker; lam is the collapse rate in 1/s."""
+class ReferencePoint(Record):
+    """A literature (r_c, lambda) marker; lam is the collapse rate in 1/s; not frozen."""
 
-    label: str
-    lam: float
-    r_c: float
+    __slots__ = ("label", "lam", "r_c")
 
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValidationError(f"reference lambda must be positive, got {self.lam}")
-        if not self.r_c > 0:
-            raise ValidationError(f"reference r_c must be positive, got {self.r_c}")
+    def __init__(self, label: str, lam: float, r_c: float):
+        if not lam > 0:
+            raise ValidationError(f"reference lambda must be positive, got {lam}")
+        if not r_c > 0:
+            raise ValidationError(f"reference r_c must be positive, got {r_c}")
+        self.label, self.lam, self.r_c = label, lam, r_c
 
 
-@dataclass(frozen=True)
-class ExclusionCurve:
+class ExclusionCurve(Record):
     """Upper-limit polyline: points are (r_c meters, lambda_limit 1/s).
 
     The region above the curve (larger lambda at fixed r_c) is excluded.
+    The points become a tuple of float pairs.  Not frozen.
     """
 
-    coupling: CouplingMode
-    points: tuple
-    method: str
-    confidence: float
+    __slots__ = ("coupling", "points", "method", "confidence")
 
-    def __post_init__(self):
-        points = tuple((float(r), float(lam)) for r, lam in self.points)
-        object.__setattr__(self, "points", points)
-        check_method(self.method)
-        check_confidence(self.confidence)
+    def __init__(self, coupling: CouplingMode, points, method: str, confidence: float):
+        points = tuple((float(r), float(lam)) for r, lam in points)
+        check_method(method)
+        check_confidence(confidence)
         if not points:
             raise ValidationError("exclusion curve needs at least one point")
         for i, (r, lam) in enumerate(points):
@@ -64,6 +57,8 @@ class ExclusionCurve:
             if i and not r > points[i - 1][0]:
                 raise ValidationError(
                     f"curve points not ascending in r_c at index {i}: {r}")
+        self.coupling, self.points, self.method, self.confidence = (
+            coupling, points, method, confidence)
 
 
 def log_grid(lo: float, hi: float, n: int) -> list:

@@ -4,12 +4,15 @@ CSV schema: header ``center_keV,width_keV,counts``, one row per bin,
 ``#``-prefixed comment lines allowed anywhere, plain decimal numbers.
 The exposure is not part of the CSV: the CLI takes it by flags.
 ``csv_rows`` is the grammar shared with the curve and overlay files.
+
+The package's data classes are plain classes with ``__slots__`` that check
+their fields when built and are not frozen; ``Record`` gives the ones that
+callers compare or print equality and a repr.
 """
 
 import math
 import operator
 import os
-from dataclasses import dataclass, replace
 from itertools import islice
 
 from .errors import (SelectionEmptyError, SpectrumFormatError, ValidationError)
@@ -60,43 +63,54 @@ def center_grid(lo: float, hi: float, width: float) -> list:
     return [c for c in grid if c <= hi + 1e-9 * width]
 
 
-@dataclass(frozen=True)
-class EnergyBin:
-    """One histogram bin: center and width in keV, integer counts."""
+class Record:
+    """Equality and repr over the ``__slots__`` fields, in order, for the
+    classes that callers compare or print; not frozen, so not hashable."""
 
-    center: float
-    width: float
-    counts: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValidationError(f"bin width must be positive, got {self.width}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = operator.attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class EnergyBin(Record):
+    """One histogram bin: center and width in keV, integer counts; not frozen."""
+
+    __slots__ = ("center", "width", "counts")
+
+    def __init__(self, center: float, width: float, counts: int):
+        if not width > 0:
+            raise ValidationError(f"bin width must be positive, got {width}")
         try:
-            counts = operator.index(self.counts)
+            counts = operator.index(counts)
         except TypeError:
-            raise ValidationError(
-                f"bin counts must be an integer, got {self.counts!r}") from None
-        object.__setattr__(self, "counts", counts)
+            raise ValidationError(f"bin counts must be an integer, got {counts!r}") from None
         if counts < 0:
             raise ValidationError(f"bin counts must be non-negative, got {counts}")
-        if not self.center - self.width / 2.0 > 0:
+        if not center - width / 2.0 > 0:
             raise ValidationError(
-                f"bin [{self.center} +- {self.width / 2}] keV extends to non-positive energy")
+                f"bin [{center} +- {width / 2}] keV extends to non-positive energy")
+        self.center, self.width, self.counts = center, width, counts
 
 
-@dataclass(frozen=True)
-class BinnedSpectrum:
+class BinnedSpectrum(Record):
     """Ordered, uniform-width, non-overlapping bins and where they came from.
 
-    Immutable after construction; safe to share across threads.
+    Not frozen, but nothing in the package assigns to a spectrum's
+    attributes, so one is safe to share across threads.
     """
 
-    bins: tuple
-    source_label: str = ""
+    __slots__ = ("bins", "source_label")
 
-    def __post_init__(self):
-        bins = tuple(self.bins)
-        object.__setattr__(self, "bins", bins)
+    def __init__(self, bins, source_label: str = ""):
+        bins = tuple(bins)
         for i in range(1, len(bins)):
             prev, cur = bins[i - 1], bins[i]
             if not cur.center > prev.center:
@@ -108,21 +122,20 @@ class BinnedSpectrum:
         widths = {b.width for b in bins}
         if len(widths) > 1:
             raise ValidationError(f"non-uniform bin widths: {sorted(widths)}")
+        self.bins, self.source_label = bins, source_label
 
 
-@dataclass(frozen=True)
 class RangeSelection:
-    """Energy window and minimum-count threshold applied to a spectrum."""
+    """Energy window and minimum-count threshold applied to a spectrum; not frozen."""
 
-    e_min: float
-    e_max: float
-    min_counts: int = 0
+    __slots__ = ("e_min", "e_max", "min_counts")
 
-    def __post_init__(self):
-        if not self.e_min < self.e_max:
-            raise ValidationError(f"e_min {self.e_min} must be below e_max {self.e_max}")
-        if self.min_counts < 0:
-            raise ValidationError(f"min_counts must be >= 0, got {self.min_counts}")
+    def __init__(self, e_min: float, e_max: float, min_counts: int = 0):
+        if not e_min < e_max:
+            raise ValidationError(f"e_min {e_min} must be below e_max {e_max}")
+        if min_counts < 0:
+            raise ValidationError(f"min_counts must be >= 0, got {min_counts}")
+        self.e_min, self.e_max, self.min_counts = e_min, e_max, min_counts
 
 
 def read_text(path) -> str:
@@ -258,7 +271,8 @@ def save_spectrum(spectrum: BinnedSpectrum, path) -> None:
 def select(spectrum: BinnedSpectrum, sel: RangeSelection) -> BinnedSpectrum:
     """Bins with e_min <= center <= e_max and counts >= min_counts, in order.
 
-    Raises SelectionEmptyError when nothing survives (no fit is possible).
+    The kept bins are checked again as a new BinnedSpectrum.  Raises
+    SelectionEmptyError when nothing survives (no fit is possible).
     """
     kept = tuple(b for b in spectrum.bins
                  if sel.e_min <= b.center <= sel.e_max and b.counts >= sel.min_counts)
@@ -266,7 +280,7 @@ def select(spectrum: BinnedSpectrum, sel: RangeSelection) -> BinnedSpectrum:
         raise SelectionEmptyError(
             f"selection [{sel.e_min}, {sel.e_max}] keV, counts >= {sel.min_counts} "
             f"removed all {len(spectrum.bins)} bins")
-    return replace(spectrum, bins=kept)
+    return BinnedSpectrum(bins=kept, source_label=spectrum.source_label)
 
 
 def total_counts(spectrum: BinnedSpectrum) -> int:

@@ -11,15 +11,14 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 from .backend import kernels
 from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
 from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
 from .constants import CHI2_MIN_COUNTS, check_confidence, check_method
 from .errors import InsufficientDataError, ValidationError
-from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, center_grid,
-                       select, total_counts)
+from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, Record,
+                       center_grid, select, total_counts)
 
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
@@ -36,28 +35,27 @@ _BLOCK_UNIFORMS = 2 ** 16
 _BAYES_MEMO_SIZE = 4096
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Generation model: 1/E amplitude, inclusive center grid, flat background."""
+class SynthConfig(Record):
+    """Generation model: 1/E amplitude, inclusive center grid, flat background;
+    not frozen."""
 
-    alpha_true: float
-    e_min: float
-    e_max: float
-    bin_width: float
-    flat_background_per_bin: float = 0.0
-    seed: int = 0
+    __slots__ = ("alpha_true", "e_min", "e_max", "bin_width", "flat_background_per_bin",
+                 "seed")
 
-    def __post_init__(self):
-        if not self.alpha_true >= 0:
-            raise ValidationError(f"alpha_true must be >= 0, got {self.alpha_true}")
-        if not self.e_min < self.e_max:
+    def __init__(self, alpha_true: float, e_min: float, e_max: float, bin_width: float,
+                 flat_background_per_bin: float = 0.0, seed: int = 0):
+        if not alpha_true >= 0:
+            raise ValidationError(f"alpha_true must be >= 0, got {alpha_true}")
+        if not e_min < e_max:
+            raise ValidationError(f"e_min {e_min} must be below e_max {e_max}")
+        if not bin_width > 0:
+            raise ValidationError(f"bin_width must be positive, got {bin_width}")
+        if not flat_background_per_bin >= 0:
             raise ValidationError(
-                f"e_min {self.e_min} must be below e_max {self.e_max}")
-        if not self.bin_width > 0:
-            raise ValidationError(f"bin_width must be positive, got {self.bin_width}")
-        if not self.flat_background_per_bin >= 0:
-            raise ValidationError(
-                f"flat_background_per_bin must be >= 0, got {self.flat_background_per_bin}")
+                f"flat_background_per_bin must be >= 0, got {flat_background_per_bin}")
+        self.alpha_true, self.e_min, self.e_max = alpha_true, e_min, e_max
+        self.bin_width, self.flat_background_per_bin, self.seed = (
+            bin_width, flat_background_per_bin, seed)
 
     def centers(self) -> list:
         """Bin centers e_min, e_min + w, ... up to and including e_max."""
@@ -71,31 +69,28 @@ class SynthConfig:
                 for center in (self.centers() if centers is None else centers)]
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(Record):
     """Outcome of a coverage study.
 
     trials counts the completed trials (the denominator); trials whose
     spectrum left the chosen route nothing to fit are tallied in skipped
-    and excluded.
+    and excluded.  Not frozen.
     """
 
-    trials: int
-    covered: int
-    method: str
-    confidence: float
-    skipped: int = 0
+    __slots__ = ("trials", "covered", "method", "confidence", "skipped")
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.covered <= self.trials:
-            raise ValidationError(
-                f"covered must be in [0, {self.trials}], got {self.covered}")
-        check_method(self.method)
-        check_confidence(self.confidence)
-        if self.skipped < 0:
-            raise ValidationError(f"skipped must be >= 0, got {self.skipped}")
+    def __init__(self, trials: int, covered: int, method: str, confidence: float,
+                 skipped: int = 0):
+        if trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {trials}")
+        if not 0 <= covered <= trials:
+            raise ValidationError(f"covered must be in [0, {trials}], got {covered}")
+        check_method(method)
+        check_confidence(confidence)
+        if skipped < 0:
+            raise ValidationError(f"skipped must be >= 0, got {skipped}")
+        self.trials, self.covered, self.skipped = trials, covered, skipped
+        self.method, self.confidence = method, confidence
 
     @property
     def coverage_fraction(self) -> float:

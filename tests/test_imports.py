@@ -1,5 +1,6 @@
 """Start-up contract: each command loads only the spontrad modules it runs,
-and the package keeps the names the benchmark imports.
+never ``dataclasses`` or ``inspect``, and the package keeps the names the
+benchmark imports.
 
 The module-loading checks run in a fresh interpreter and look at
 ``sys.modules``, so what an earlier test imported does not leak in.
@@ -20,14 +21,19 @@ SRC = str(Path(spontrad.__file__).resolve().parent.parent)
 DATA = Path(SRC) / "spontrad" / "data"
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs main() on argv and prints the spontrad submodules then loaded.
-RUN_COMMAND = """
+# Modules no command may load: importing dataclasses loads inspect, about
+# 12 to 19 ms of import time on a shared 2-vCPU host.
+SLOW_STDLIB = {"dataclasses", "inspect"}
+# Runs main() on argv and prints the spontrad submodules then loaded, and
+# which of SLOW_STDLIB.
+RUN_COMMAND = f"""
 import contextlib, io, json, sys
 from spontrad.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 assert code == 0, code
-print(json.dumps(sorted(n for n in sys.modules if n.startswith("spontrad."))))
+print(json.dumps(sorted(n for n in sys.modules
+                        if n.startswith("spontrad.") or n in {sorted(SLOW_STDLIB)})))
 """
 
 
@@ -64,6 +70,7 @@ def test_command_leaves_unused_modules_unloaded(argv, absent, tmp_path):
     loaded = loaded_by(*argv)
     assert "spontrad.cli" in loaded
     assert not loaded & {f"spontrad.{name}" for name in absent}
+    assert not loaded & SLOW_STDLIB
 
 
 def test_public_names_resolve_lazily_to_their_definitions():

@@ -1,12 +1,18 @@
-"""The README's coverage numbers, reproduced in-process.
+"""The README's examples and numbers, reproduced in-process.
 
 The coverage table under "Notes and caveats" and the anchor study after it
 are the one copy of these numbers: the tests read them from README.md, run
 each study through the CLI's main, and on a mismatch print the line as it
-should read.
+should read.  So are the examples: each ``spontrad`` line of an ``sh`` block
+runs through main, the library example runs as written, and the limits the
+Quick start prose states are the ones its commands give.
 """
 
+import contextlib
+import io
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -53,6 +59,57 @@ def test_table_row(run_cli, row):
     want = (f"| {alpha} | {_cell(chi2)} = {chi2['coverage_fraction']:.3f} | "
             f"{chi2['skipped']} | {_cell(bayes)} = {bayes['coverage_fraction']:.3f} |")
     assert row == want, f"the README row should read:\n{want}"
+
+
+def _section(title: str) -> str:
+    """The text of the README's ``## title`` section."""
+    return README.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _code_blocks(text: str, language: str) -> list:
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.M | re.S)
+
+
+def _commands(text: str) -> list:
+    """Each spontrad command of the sh blocks in text, as argv after "spontrad"."""
+    return [shlex.split(line)[1:] for block in _code_blocks(text, "sh")
+            for line in block.splitlines() if line.startswith("spontrad ")]
+
+
+COMMANDS = _commands(README)
+
+
+def test_sh_commands_exit_0(run_cli, data_dir, tmp_path, monkeypatch):
+    # The commands that read spectrum.csv get the packaged IGEX-like spectrum.
+    shutil.copy(data_dir / "synth_igex_like.csv", tmp_path / "spectrum.csv")
+    monkeypatch.chdir(tmp_path)
+    assert len(COMMANDS) >= 6
+    for argv in COMMANDS:
+        result = run_cli(*argv)
+        assert result.code == 0, (argv, result.err)
+    assert {"curves.csv", "exclusion.svg"} <= {p.name for p in tmp_path.iterdir()}
+
+
+def test_quick_start_states_the_limits_its_commands_give(run_cli):
+    # The prose after the shortcut commands (no input file) gives their
+    # limits in order, each to two significant digits.
+    quick_start = _section("Quick start")
+    stated = re.findall(r"`(?:lambda <= )?(\d\.\de-\d+) 1/s`", quick_start)
+    shortcuts = [argv for argv in _commands(quick_start)
+                 if argv[0] == "limit" and "--input" not in argv]
+    got = [f"{run_cli(*argv).json['lambda_upper_s_inv']:.1e}" for argv in shortcuts]
+    assert len(stated) == len(shortcuts) == 3
+    assert got == stated, f"the Quick start should state {got}"
+
+
+def test_library_example_prints_the_limit_its_comment_states():
+    (code,) = _code_blocks(_section("Library use"), "python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    comment = re.search(r"# (\d\.(\d+)e-\d+)$", code, flags=re.M)
+    digits = len(comment.group(2))
+    assert f"{float(out.getvalue()):.{digits}e}" == comment.group(1)
 
 
 def test_anchor_study(run_cli):
