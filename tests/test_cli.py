@@ -740,7 +740,10 @@ class TestScan:
     @pytest.mark.parametrize("text,message", [
         ("r_c_m,lambda_s_inv\n1e-8,0\n", "{path}:2: overlay values must be positive"),
         ("r_c_m,lambda_s_inv\n1e-8\n", "{path}:2: expected 2 fields, got 1"),
-    ], ids=["nonpositive", "field-count"])
+        # The lambda range padded down to a whole decade underflows to 0.
+        ("r_c_m,lambda_s_inv\n1e-8,5e-324\n",
+         "degenerate plot ranges r=(1e-09, 0.01), lam=(0.0, 0.001)"),
+    ], ids=["nonpositive", "field-count", "range-underflow"])
     def test_bad_overlay_writes_nothing(self, run_cli, tmp_path, schemas, text, message):
         overlay = tmp_path / "bad.csv"
         overlay.write_text(text)

@@ -82,6 +82,10 @@ CASES = [
      ("scan", "--method", "chi2", "--input", "{data}/synth_igex_like.csv", *SMALL_GRID,
       "--coupling", "non-mass-prop", "--out", "{tmp}/curves.csv", "--svg", "{tmp}/plot.svg",
       "--overlay", "{tmp}/boundary.csv"), 0, ("curves.csv", "plot.svg")),
+    # One point per curve, in a frame of one decade on each axis.
+    ("scan-chi2-one-point-svg",
+     ("scan", "--method", "chi2", "--alpha-upper", "143", "--grid", "1e-7:1e-7:1",
+      "--out", "{tmp}/curves.csv", "--svg", "{tmp}/plot.svg"), 0, ("curves.csv", "plot.svg")),
     ("scan-bayes-input",
      ("scan", "--input", "{data}/paper_totals.csv", "--r-c", "2e-7", "--cl", "0.9",
       "--grid", "1e-8:1e-5:7", "--out", "{tmp}/curves.csv"), 0, ("curves.csv",)),
