@@ -23,8 +23,8 @@ from .chi2fit import alpha_upper_limit, fit_alpha
 from .constants import (CHI2_MIN_COUNTS, IGEX_EXPOSURE, METHODS, CouplingMode, ExposureConfig,
                         check_confidence, conversion)
 from .errors import NumericalError, ValidationError
-from .spectrum import (EnergyBin, RangeSelection, center_grid, format_spectrum,
-                       load_spectrum, save_spectrum, select, write_texts)
+from .spectrum import (RangeSelection, format_spectrum, load_spectrum, save_spectrum, select,
+                       write_texts, zero_count_bins)
 
 DEFAULT_E_MIN_KEV = 14.5
 DEFAULT_E_MAX_KEV = 48.5
@@ -46,8 +46,9 @@ def _split_spec(flag: str, spec: str, last: str, last_type=float) -> tuple:
         raise ValidationError(f"{flag} values must be numbers, got {spec!r}") from None
 
 
-def _parse_bins(spec: str) -> list:
-    """'lo:hi:width' -> unit-count bins at centers lo, lo+width, ..., hi."""
+def _parse_bins(spec: str) -> tuple:
+    """'lo:hi:width' -> zero-count bins at centers lo, lo+width, ..., hi,
+    checked as a spectrum file's bins are."""
     lo, hi, width = _split_spec("--bins", spec, "width")
     if not all(map(math.isfinite, (lo, hi, width))):
         raise ValidationError(f"--bins values must be finite, got {spec!r}")
@@ -55,7 +56,7 @@ def _parse_bins(spec: str) -> list:
         raise ValidationError(f"--bins width must be positive, got {width}")
     if not lo <= hi:
         raise ValidationError(f"--bins needs lo <= hi, got {spec!r}")
-    return [EnergyBin(center=c, width=width, counts=0) for c in center_grid(lo, hi, width)]
+    return zero_count_bins(lo, hi, width)
 
 
 def _parse_grid(spec: str) -> list:

@@ -125,6 +125,14 @@ class BinnedSpectrum(Record):
         self.bins, self.source_label = bins, source_label
 
 
+def zero_count_bins(lo: float, hi: float, width: float) -> tuple:
+    """Zero-count bins at center_grid(lo, hi, width), checked as one
+    BinnedSpectrum: a grid whose centers coincide in floating point raises
+    the ValidationError that a spectrum file with those bins would."""
+    return BinnedSpectrum(bins=tuple(EnergyBin(center=c, width=width, counts=0)
+                                     for c in center_grid(lo, hi, width))).bins
+
+
 class RangeSelection:
     """Energy window and minimum-count threshold applied to a spectrum; not frozen."""
 

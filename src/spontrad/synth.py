@@ -18,7 +18,7 @@ from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
 from .constants import CHI2_MIN_COUNTS, check_confidence, check_method
 from .errors import InsufficientDataError, ValidationError
 from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, Record,
-                       center_grid, select, total_counts)
+                       center_grid, select, total_counts, zero_count_bins)
 
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
@@ -53,6 +53,10 @@ class SynthConfig(Record):
         if not flat_background_per_bin >= 0:
             raise ValidationError(
                 f"flat_background_per_bin must be >= 0, got {flat_background_per_bin}")
+        # The streams take the seed's low 64 bits, so a wider seed would
+        # repeat one of these.
+        if not 0 <= seed < 2 ** 64:
+            raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
         self.alpha_true, self.e_min, self.e_max = alpha_true, e_min, e_max
         self.bin_width, self.flat_background_per_bin, self.seed = (
             bin_width, flat_background_per_bin, seed)
@@ -105,17 +109,6 @@ class CoverageReport(Record):
     @property
     def requested_trials(self) -> int:
         return self.trials + self.skipped
-
-
-def _checked_bins(config: SynthConfig) -> tuple:
-    """Zero-count bins on the config's grid, validated as one spectrum.
-
-    Every trial shares this grid, so checking it once raises exactly the
-    ValidationError that the first trial's bins would.
-    """
-    width = config.bin_width
-    return BinnedSpectrum(bins=tuple(EnergyBin(center=c, width=width, counts=0)
-                                     for c in config.centers())).bins
 
 
 def _checked_means(config: SynthConfig, centers: list) -> list:
@@ -310,7 +303,9 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
         raise ValidationError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     check_method(method)
     check_confidence(confidence)
-    bins = _checked_bins(config)
+    # Every trial shares this grid, so checking it once raises exactly the
+    # ValidationError that the first trial's bins would.
+    bins = zero_count_bins(config.e_min, config.e_max, config.bin_width)
     centers = [b.center for b in bins]
     # The means are the same for every trial, so the sampler state is too.
     plan = kernels.poisson_plan(_checked_means(config, centers))

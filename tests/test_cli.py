@@ -559,6 +559,40 @@ class TestExitCodes:
         jsonschema.validate(r.error, schemas["error"])
         assert r.error["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--y-total", 10, "--bins", "1e16:1.0000000000000002e16:0.5"),
+        ("scan", "--y-total", 10, "--bins", "1e16:1.0000000000000002e16:0.5",
+         "--grid", "1e-9:1e-3:5"),
+        ("synth", "--alpha", 10, "--emin", 1e16, "--emax", 1.0000000000000002e16,
+         "--bin-width", 0.5),
+        ("coverage", "--alpha", 10, "--emin", 1e16, "--emax", 1.0000000000000002e16,
+         "--bin-width", 0.5, "--trials", 3),
+    ], ids=lambda argv: argv[0])
+    def test_collapsed_bin_grid_exits_2(self, run_cli, schemas, tmp_path, argv):
+        # Steps of 0.5 keV at 1e16 keV round back onto the first center, so
+        # every command rejects the grid as a spectrum file's bins.
+        out = tmp_path / "out"
+        r = run_cli(*argv, "--out", out)
+        assert (r.code, r.out) == (2, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {
+            "type": "validation",
+            "message": "bins out of order: center 1e+16 keV after 1e+16 keV"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "coverage"])
+    @pytest.mark.parametrize("seed,code", [(-1, 2), (0, 0), (2 ** 64 - 1, 0), (2 ** 64, 2)])
+    def test_seed_outside_64_bits_exits_2(self, run_cli, schemas, command, seed, code):
+        # The streams take the seed's low 64 bits: 2**64 would repeat seed 0.
+        extra = ("--trials", 3) if command == "coverage" else ()
+        r = run_cli(command, "--alpha", 115, "--seed", seed, *extra)
+        assert r.code == code
+        if code:
+            assert r.out == ""
+            jsonschema.validate(r.error, schemas["error"])
+            assert r.error["error"] == {
+                "type": "validation", "message": f"seed must be in [0, 2**64), got {seed}"}
+
     @pytest.mark.parametrize("route", [
         ("--method", "chi2", "--alpha-upper", 100),
         ("--method", "bayes", "--y-total", 130, "--bins", "15:48:1"),
@@ -1065,10 +1099,10 @@ class TestCoverage:
     @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10 ** 18])
     def test_trials_above_the_cap_exit_2_before_any_setup(self, run_cli, schemas,
                                                           monkeypatch, trials):
-        def unexpected(config):
+        def unexpected(*args):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(spontrad.synth, "_checked_bins", unexpected)
+        monkeypatch.setattr(spontrad.synth, "zero_count_bins", unexpected)
         r = run_cli("coverage", "--alpha", 115, "--trials", trials)
         assert (r.code, r.out) == (2, "")
         jsonschema.validate(r.error, schemas["error"])

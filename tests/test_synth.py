@@ -52,6 +52,9 @@ class TestSynthConfig:
             SynthConfig(alpha_true=1.0, e_min=15.0, e_max=48.0, bin_width=0.0)
         with pytest.raises(ValidationError):
             SynthConfig(alpha_true=1.0, flat_background_per_bin=-0.5, **WINDOW)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*64\)"):
+                SynthConfig(alpha_true=1.0, seed=seed, **WINDOW)
 
 
 class TestSampleSpectrum:
