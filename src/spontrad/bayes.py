@@ -11,12 +11,11 @@ the upper limit.
 """
 
 import math
-import operator
 
 from .backend import kernels
 from .constants import ExposureConfig, IGEX_EXPOSURE, check_confidence, conversion
 from .errors import NumericalError, ValidationError
-from .spectrum import check_float_range
+from .spectrum import check_float_range, checked_integer
 
 
 def reg_inc_gamma(shape: float, x: float) -> float:
@@ -58,10 +57,7 @@ class PosteriorSpec:
     __slots__ = ("y_total", "harmonic_sum", "conversion")
 
     def __init__(self, y_total: int, harmonic_sum: float, conversion: float):
-        try:
-            y = operator.index(y_total)
-        except TypeError:
-            raise ValidationError(f"y_total must be an integer, got {y_total!r}") from None
+        y = checked_integer(y_total, "y_total")
         if y < 0:
             raise ValidationError(f"y_total must be >= 0, got {y}")
         check_float_range(y, "y_total")

@@ -45,6 +45,15 @@ def check_grid_size(n, what: str) -> None:
             f"{what} of {n:.7g} points exceeds the limit of {MAX_GRID_POINTS}")
 
 
+def checked_integer(value, what: str) -> int:
+    """value as an int (operator.index), or a ValidationError naming what.
+    EnergyBin, built once per bin, makes the same check inline."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_float_range(n: int, what: str) -> None:
     """Reject an integer count too large to convert to a float."""
     try:

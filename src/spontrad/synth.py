@@ -18,7 +18,8 @@ from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
 from .constants import CHI2_MIN_COUNTS, check_confidence, check_method
 from .errors import InsufficientDataError, ValidationError
 from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, Record,
-                       center_grid, select, total_counts, zero_count_bins)
+                       center_grid, checked_integer, select, total_counts,
+                       zero_count_bins)
 
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
@@ -33,6 +34,15 @@ _BLOCK_TRIALS = 256
 _BLOCK_UNIFORMS = 2 ** 16
 # Most distinct (total, harmonic sum, confidence) bayes limits kept.
 _BAYES_MEMO_SIZE = 4096
+
+
+def _stream_key(value, name: str) -> int:
+    """A seed or trial index as an int in [0, 2**64): the streams take its
+    low 64 bits, so a wider one would repeat another's stream."""
+    value = checked_integer(value, name)
+    if not 0 <= value < 2 ** 64:
+        raise ValidationError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
 class SynthConfig(Record):
@@ -53,10 +63,7 @@ class SynthConfig(Record):
         if not flat_background_per_bin >= 0:
             raise ValidationError(
                 f"flat_background_per_bin must be >= 0, got {flat_background_per_bin}")
-        # The streams take the seed's low 64 bits, so a wider seed would
-        # repeat one of these.
-        if not 0 <= seed < 2 ** 64:
-            raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
+        seed = _stream_key(seed, "seed")
         self.alpha_true, self.e_min, self.e_max = alpha_true, e_min, e_max
         self.bin_width, self.flat_background_per_bin, self.seed = (
             bin_width, flat_background_per_bin, seed)
@@ -158,32 +165,15 @@ def _trial_streams(seed: int, start: int, stop: int, plan):
             yield from kernels.lane_uniforms(seed, first, last, row)
 
 
-# The checked grid and Poisson plan of the last config sample_spectrum drew,
-# per thread, since a plan is not shared across threads.
-_last_grid = threading.local()
-
-
-def _grid(config: SynthConfig) -> tuple:
-    """(centers, plan) of config, reused from the thread's last config when
-    every field but the seed is the same value of the same type.
-
-    Counts do not depend on how far a plan has grown, so reuse changes no
-    spectrum.
-    """
-    values = (config.alpha_true, config.e_min, config.e_max, config.bin_width,
-              config.flat_background_per_bin)
-    key = values, tuple(map(type, values))
-    last = getattr(_last_grid, "value", None)
-    if last is None or last[0] != key:
-        centers = config.centers()
-        plan = kernels.poisson_plan(_checked_means(config, centers))
-        last = _last_grid.value = key, centers, plan
-    return last[1], last[2]
-
-
 def sample_spectrum(config: SynthConfig, trial_index: int = 0) -> BinnedSpectrum:
-    """Draw one spectrum; identical (config, trial_index) gives identical bins."""
-    centers, plan = _grid(config)
+    """Draw one spectrum; identical (config, trial_index) gives identical bins.
+
+    trial_index is an integer in [0, 2**64).  The grid and its Poisson plan
+    are built on each call, and nothing is kept after it returns.
+    """
+    trial_index = _stream_key(trial_index, "trial_index")
+    centers = config.centers()
+    plan = kernels.poisson_plan(_checked_means(config, centers))
     width = config.bin_width
     return BinnedSpectrum(
         bins=tuple(EnergyBin(center=c, width=width, counts=n)
@@ -297,6 +287,7 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     is summed.  The trials are split across the CPUs the process may use
     (_split_trials); the report does not depend on how.
     """
+    trials = checked_integer(trials, "trials")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if trials > MAX_TRIALS:

@@ -133,7 +133,7 @@ class TestPosteriorSpec:
             PosteriorSpec(y_total=1, harmonic_sum=0.0, conversion=1.0)
         with pytest.raises(ValidationError):
             PosteriorSpec(y_total=1, harmonic_sum=1.0, conversion=-2.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^y_total must be an integer, got 1.5$"):
             PosteriorSpec(y_total=1.5, harmonic_sum=1.0, conversion=1.0)
 
     def test_total_past_the_float_range_is_rejected(self):

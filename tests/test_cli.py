@@ -857,6 +857,19 @@ class TestScan:
                     "--grid", "1e-3:1e-9:10", "--out", tmp_path / "x.csv")
         assert r.code == 2
 
+    def test_collapsed_grid_exits_2(self, run_cli, tmp_path, schemas):
+        # Five log steps from 1e-9 to the next float round to points that do
+        # not strictly ascend; scan rejects the grid before writing anything.
+        out = tmp_path / "x.csv"
+        r = run_cli("scan", "--method", "chi2", "--alpha-upper", 100,
+                    "--grid", "1e-9:1.0000000000000002e-9:5", "--out", out)
+        assert (r.code, r.out) == (2, "")
+        jsonschema.validate(r.error, schemas["error"])
+        assert r.error["error"] == {
+            "type": "validation",
+            "message": "grid not strictly ascending at index 2: 1.0000000000000007e-09"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1e-300:1e300:5", "1e-9:inf:2"])
     def test_grid_beyond_float_range_exits_2(self, run_cli, tmp_path, schemas, grid):
         out = tmp_path / "x.csv"

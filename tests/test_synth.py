@@ -1,5 +1,6 @@
 """Synthetic spectrum generation and coverage studies."""
 
+import gc
 import math
 import os
 import sys
@@ -55,6 +56,12 @@ class TestSynthConfig:
         for seed in (-1, 2 ** 64):
             with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*64\)"):
                 SynthConfig(alpha_true=1.0, seed=seed, **WINDOW)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValidationError) as caught:
+            SynthConfig(alpha_true=1.0, seed=seed, **WINDOW)
+        assert str(caught.value) == f"seed must be an integer, got {seed!r}"
 
 
 class TestSampleSpectrum:
@@ -114,6 +121,39 @@ class TestSampleSpectrum:
             sample_spectrum(over)
         with pytest.raises(ValidationError, match="2\\*\\*52"):
             run_coverage(over, 3, "bayes", 0.95)
+
+    @pytest.mark.parametrize("index,message", [
+        (1.5, "trial_index must be an integer, got 1.5"),
+        (-1, "trial_index must be in [0, 2**64), got -1"),
+        # The streams take the index's low 64 bits: 2**64 would repeat trial 0.
+        (2 ** 64, "trial_index must be in [0, 2**64), got 18446744073709551616"),
+    ])
+    def test_trial_index_outside_64_bits_is_rejected(self, index, message):
+        cfg = SynthConfig(alpha_true=115.0, seed=42, **WINDOW)
+        with pytest.raises(ValidationError) as caught:
+            sample_spectrum(cfg, index)
+        assert str(caught.value) == message
+
+    def test_trial_index_at_the_top_of_64_bits(self):
+        cfg = SynthConfig(alpha_true=115.0, seed=42, **WINDOW)
+        top = sample_spectrum(cfg, 2 ** 64 - 1)
+        assert top.source_label == f"synth(seed=42,trial={2 ** 64 - 1})"
+        assert top.bins != sample_spectrum(cfg, 0).bins
+
+    def test_a_sample_holds_nothing_after_it_returns(self):
+        # The grid and Poisson plan live only as long as the call: once the
+        # spectrum of 10^4 bins is dropped, nothing of it stays allocated.
+        cfg = SynthConfig(alpha_true=1e4, e_min=1.0, e_max=1e4, bin_width=1.0, seed=7)
+        assert len(cfg.centers()) == 10 ** 4
+        tracemalloc.start()
+        try:
+            spectrum = sample_spectrum(cfg)
+            del spectrum
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 * 2 ** 10
 
 
 def _in_new_thread(fn):
@@ -246,6 +286,9 @@ class TestRunCoverage:
             run_coverage(cfg, 10, "mcmc", 0.95)
         with pytest.raises(ValidationError):
             run_coverage(cfg, 10, "bayes", 1.0)
+        with pytest.raises(ValidationError) as caught:
+            run_coverage(cfg, 1.5, "bayes", 0.95)
+        assert str(caught.value) == "trials must be an integer, got 1.5"
 
 
 # (method, alpha_true, background, confidence, seed) -> (trials, covered,
