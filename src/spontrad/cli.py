@@ -18,13 +18,13 @@ import math
 import os
 import sys
 
-from .bayes import lambda_credible_limit, posterior_spec
+from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
 from .chi2fit import alpha_upper_limit, fit_alpha
 from .constants import (CHI2_MIN_COUNTS, IGEX_EXPOSURE, METHODS, CouplingMode, ExposureConfig,
                         check_confidence, conversion)
 from .errors import NumericalError, ValidationError
-from .spectrum import (RangeSelection, format_spectrum, load_spectrum, save_spectrum, select,
-                       write_texts, zero_count_bins)
+from .spectrum import (RangeSelection, center_grid, format_spectrum, load_spectrum,
+                       save_spectrum, select, write_texts)
 
 DEFAULT_E_MIN_KEV = 14.5
 DEFAULT_E_MAX_KEV = 48.5
@@ -46,9 +46,9 @@ def _split_spec(flag: str, spec: str, last: str, last_type=float) -> tuple:
         raise ValidationError(f"{flag} values must be numbers, got {spec!r}") from None
 
 
-def _parse_bins(spec: str) -> tuple:
-    """'lo:hi:width' -> zero-count bins at centers lo, lo+width, ..., hi,
-    checked as a spectrum file's bins are."""
+def _parse_bins(spec: str) -> float:
+    """'lo:hi:width' -> sum(width / c) over the checked center_grid(lo, hi,
+    width): the double harmonic_sum gives on bins at those centers."""
     lo, hi, width = _split_spec("--bins", spec, "width")
     if not all(map(math.isfinite, (lo, hi, width))):
         raise ValidationError(f"--bins values must be finite, got {spec!r}")
@@ -56,7 +56,7 @@ def _parse_bins(spec: str) -> tuple:
         raise ValidationError(f"--bins width must be positive, got {width}")
     if not lo <= hi:
         raise ValidationError(f"--bins needs lo <= hi, got {spec!r}")
-    return zero_count_bins(lo, hi, width)
+    return math.fsum(width / c for c in center_grid(lo, hi, width))
 
 
 def _parse_grid(spec: str) -> list:
@@ -118,7 +118,7 @@ def _limit_route(args, exposure):
     A run has one input: the route's shortcut (--y-total with --bins, or
     --alpha-upper) or an --input file, which alone takes the window flags.
     Returns payload(coupling): the limit JSON for one coupling, so a scan
-    converts the same bins or fit for both couplings.
+    converts the same total and harmonic sum, or fit, for both couplings.
     """
     bayes = args.method == "bayes"
     if bayes and args.alpha_upper is not None:
@@ -129,7 +129,7 @@ def _limit_route(args, exposure):
     if bayes and given is not None:
         if not args.bins:
             raise ValidationError("--y-total requires --bins lo:hi:width")
-        bins = _parse_bins(args.bins)
+        harmonic = _parse_bins(args.bins)
     elif args.bins:
         raise ValidationError(BINS_WITHOUT_Y_TOTAL)
     if given is None and not args.input:
@@ -150,11 +150,11 @@ def _limit_route(args, exposure):
     if bayes:
         y = given
         if y is None:
-            bins = list(_selected_input(args, 0).bins)
-            y = sum(b.counts for b in bins)
+            bins = _selected_input(args, 0).bins
+            y, harmonic = sum(b.counts for b in bins), harmonic_sum(bins)
 
         def rate(coupling: CouplingMode) -> tuple:
-            spec = posterior_spec(y, bins, args.r_c, coupling, exposure=exposure)
+            spec = PosteriorSpec(y, harmonic, conversion(coupling, args.r_c, exposure))
             lam = lambda_credible_limit(spec, args.cl).lambda_upper
             return lam, {"y_total": y, "harmonic_sum": spec.harmonic_sum}
     else:

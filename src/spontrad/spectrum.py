@@ -13,7 +13,7 @@ callers compare or print equality and a repr.
 import math
 import operator
 import os
-from itertools import islice
+from itertools import islice, repeat
 
 from .errors import (SelectionEmptyError, SpectrumFormatError, ValidationError)
 
@@ -61,15 +61,6 @@ def check_float_range(n: int, what: str) -> None:
     except OverflowError:
         raise ValidationError(
             f"{what} of {n.bit_length()} bits is beyond the float range") from None
-
-
-def center_grid(lo: float, hi: float, width: float) -> list:
-    """Bin centers lo, lo + width, ... up to and including hi (lo <= hi, width > 0)."""
-    steps = (hi - lo) / width + 0.5
-    n = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
-    check_grid_size(n, "bin grid")
-    grid = [lo + i * width for i in range(n)]
-    return [c for c in grid if c <= hi + 1e-9 * width]
 
 
 class Record:
@@ -120,26 +111,41 @@ class BinnedSpectrum(Record):
 
     def __init__(self, bins, source_label: str = ""):
         bins = tuple(bins)
-        for i in range(1, len(bins)):
-            prev, cur = bins[i - 1], bins[i]
-            if not cur.center > prev.center:
-                raise ValidationError(
-                    f"bins out of order: center {cur.center} keV after {prev.center} keV")
-            if cur.center - prev.center < (prev.width + cur.width) / 2.0 - _OVERLAP_TOL:
-                raise ValidationError(
-                    f"bins at {prev.center} and {cur.center} keV overlap")
+        _check_order(map(operator.attrgetter("center"), bins),
+                     map(operator.attrgetter("width"), bins))
         widths = {b.width for b in bins}
         if len(widths) > 1:
             raise ValidationError(f"non-uniform bin widths: {sorted(widths)}")
         self.bins, self.source_label = bins, source_label
 
 
-def zero_count_bins(lo: float, hi: float, width: float) -> tuple:
-    """Zero-count bins at center_grid(lo, hi, width), checked as one
-    BinnedSpectrum: a grid whose centers coincide in floating point raises
-    the ValidationError that a spectrum file with those bins would."""
-    return BinnedSpectrum(bins=tuple(EnergyBin(center=c, width=width, counts=0)
-                                     for c in center_grid(lo, hi, width))).bins
+def _check_order(centers, widths) -> None:
+    """Raise the ValidationError of the first adjacent pair of bins, given by
+    their centers and widths in order, that is out of order or overlaps."""
+    pairs = zip(centers, widths)
+    prev_c, prev_w = next(pairs, (None, None))
+    for c, w in pairs:
+        if not c > prev_c:
+            raise ValidationError(f"bins out of order: center {c} keV after {prev_c} keV")
+        # Halved before the sum, which overflows for widths above about 9e307.
+        if c - prev_c < prev_w / 2.0 + w / 2.0 - _OVERLAP_TOL:
+            raise ValidationError(f"bins at {prev_c} and {c} keV overlap")
+        prev_c, prev_w = c, w
+
+
+def center_grid(lo: float, hi: float, width: float) -> list:
+    """Bin centers lo, lo + width, ... up to and including hi (lo <= hi,
+    width > 0), capped at MAX_GRID_POINTS and checked as a spectrum file's
+    bins are.  Centers ascend, so the lowest bin alone can reach a
+    non-positive energy: it is the one bin built."""
+    steps = (hi - lo) / width + 0.5
+    n = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
+    check_grid_size(n, "bin grid")
+    EnergyBin(center=lo, width=width, counts=0)
+    grid = [lo + i * width for i in range(n)]
+    centers = [c for c in grid if c <= hi + 1e-9 * width]
+    _check_order(centers, repeat(width))
+    return centers
 
 
 class RangeSelection:

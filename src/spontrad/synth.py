@@ -18,8 +18,7 @@ from .chi2fit import alpha_upper_limit, closed_form, fit_alpha, normal_quantile
 from .constants import CHI2_MIN_COUNTS, check_confidence, check_method
 from .errors import InsufficientDataError, ValidationError
 from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, Record,
-                       center_grid, checked_integer, select, total_counts,
-                       zero_count_bins)
+                       center_grid, checked_integer, select, total_counts)
 
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
@@ -69,7 +68,7 @@ class SynthConfig(Record):
             bin_width, flat_background_per_bin, seed)
 
     def centers(self) -> list:
-        """Bin centers e_min, e_min + w, ... up to and including e_max."""
+        """Checked bin centers e_min, e_min + w, ... up to and including e_max."""
         return center_grid(self.e_min, self.e_max, self.bin_width)
 
     def bin_means(self, centers=None) -> list:
@@ -119,14 +118,8 @@ class CoverageReport(Record):
 
 
 def _checked_means(config: SynthConfig, centers: list) -> list:
-    """The Poisson means of the grid centers = config.centers(), checked
-    before any count is drawn.
-
-    Centers ascend from e_min, so the first bin is the one a non-positive
-    energy fails; building it raises that bin's error and keeps bin_means
-    off a zero center.  A mean above MAX_BIN_MEAN is rejected.
-    """
-    EnergyBin(center=config.e_min, width=config.bin_width, counts=0)
+    """The Poisson means of the checked centers = config.centers(); a mean
+    above MAX_BIN_MEAN is rejected before any count is drawn."""
     means = config.bin_means(centers)
     if max(means) > MAX_BIN_MEAN:
         raise ValidationError(
@@ -284,7 +277,8 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     total count, so it is computed once per distinct total.  A chi2 limit
     is alpha_upper_limit's expression on closed_form's sums, with the
     normal quantile taken once per study: no FitResult is built and no chi2
-    is summed.  The trials are split across the CPUs the process may use
+    is summed.  The grid is checked once, as centers; no spectrum is built.
+    The trials are split across the CPUs the process may use
     (_split_trials); the report does not depend on how.
     """
     trials = checked_integer(trials, "trials")
@@ -294,13 +288,12 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
         raise ValidationError(f"{trials} trials exceed the limit of {MAX_TRIALS}")
     check_method(method)
     check_confidence(confidence)
-    # Every trial shares this grid, so checking it once raises exactly the
-    # ValidationError that the first trial's bins would.
-    bins = zero_count_bins(config.e_min, config.e_max, config.bin_width)
-    centers = [b.center for b in bins]
+    # Every trial shares this grid: one check raises what a trial's bins would.
+    centers = config.centers()
     # The means are the same for every trial, so the sampler state is too.
     plan = kernels.poisson_plan(_checked_means(config, centers))
-    harmonic = harmonic_sum(bins)
+    # harmonic_sum's double for every trial's bins: (w / 1.0) / c == w / c.
+    harmonic = math.fsum(config.bin_width / c for c in centers)
     # Centers ascend from e_min, so the chi2 window is a prefix of the grid.
     window = centers[:sum(c <= config.e_max for c in centers)]
     # alpha_upper_limit's normal quantile, taken once for a chi2 study.

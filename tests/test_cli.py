@@ -173,6 +173,10 @@ TINY_SPECTRUM = "center_keV,width_keV,counts\n1e-300,1e-300,6\n2e-300,1e-300,7\n
 TINY_MESSAGE = ("bin at 1e-300 keV with 6 counts: its fit weight 1/(counts * E^2) "
                 "is beyond the float range")
 LIMIT_SHORTCUT = ("limit", "--y-total", 130, "--bins", "15:48:1")
+COLLAPSED = "bins out of order: center 1e+16 keV after 1e+16 keV"
+MINUS_ZERO = "bin [-0.0 +- 0.5] keV extends to non-positive energy"
+# Two bins exactly one width apart, each wider than half the largest float.
+HUGE_WIDTHS = "center_keV,width_keV,counts\n5e307,9e307,1\n1.4e308,9e307,2\n"
 TINY_CL = ("--cl", 1e-320)
 # An integer past the float range: 10**400 has 1329 bits, 2**1024 is the limit.
 HUGE = 10 ** 400
@@ -201,6 +205,10 @@ EDGE_CASES = [
      "its posterior quantile level rounds to 1.0"),
     ("huge-y-total", {}, ("limit", "--y-total", HUGE, "--bins", "15:48:1"),
      2, "y_total of 1329 bits is beyond the float range"),
+    ("huge-widths-bins", {}, ("limit", "--y-total", 10, "--bins", "5e307:1.4e308:9e307"),
+     0, None),
+    ("huge-widths-spectrum", {"in.csv": HUGE_WIDTHS},
+     ("limit", "--input", "{tmp}/in.csv", "--emax", 1.7e308), 0, None),
     ("huge-counts-fit", {"in.csv": HUGE_SPECTRUM},
      ("fit", "--input", "{tmp}/in.csv", "--min-counts", 0), 2, HUGE_MESSAGE),
     ("huge-counts-limit-chi2", {"in.csv": HUGE_SPECTRUM},
@@ -559,26 +567,57 @@ class TestExitCodes:
         jsonschema.validate(r.error, schemas["error"])
         assert r.error["error"]["type"] == "validation"
 
-    @pytest.mark.parametrize("argv", [
-        ("limit", "--y-total", 10, "--bins", "1e16:1.0000000000000002e16:0.5"),
-        ("scan", "--y-total", 10, "--bins", "1e16:1.0000000000000002e16:0.5",
-         "--grid", "1e-9:1e-3:5"),
-        ("synth", "--alpha", 10, "--emin", 1e16, "--emax", 1.0000000000000002e16,
-         "--bin-width", 0.5),
-        ("coverage", "--alpha", 10, "--emin", 1e16, "--emax", 1.0000000000000002e16,
-         "--bin-width", 0.5, "--trials", 3),
-    ], ids=lambda argv: argv[0])
-    def test_collapsed_bin_grid_exits_2(self, run_cli, schemas, tmp_path, argv):
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(("limit", "--y-total", 10, "--bins", "1e16:1.0000000000000002e16:0.5"),
+                     COLLAPSED, id="limit"),
+        pytest.param(("scan", "--y-total", 10, "--bins", "1e16:1.0000000000000002e16:0.5",
+                      "--grid", "1e-9:1e-3:5"), COLLAPSED, id="scan"),
+        pytest.param(("synth", "--alpha", 10, "--emin", 1e16,
+                      "--emax", 1.0000000000000002e16, "--bin-width", 0.5),
+                     COLLAPSED, id="synth"),
+        pytest.param(("coverage", "--alpha", 10, "--emin", 1e16,
+                      "--emax", 1.0000000000000002e16, "--bin-width", 0.5, "--trials", 3),
+                     COLLAPSED, id="coverage"),
+        # The grid is checked before its means, which pass 2**52 here.
+        pytest.param(("synth", "--alpha", 0, "--emin", 1e16, "--emax", 1.0000000000000002e16,
+                      "--bin-width", 0.5, "--background", 1e16),
+                     COLLAPSED, id="synth-mean-past-2**52"),
+        # The lowest bin is checked at the lower edge as given, sign and all.
+        pytest.param(("limit", "--y-total", 10, "--bins=-0:48:1"),
+                     MINUS_ZERO, id="limit-minus-zero"),
+        pytest.param(("coverage", "--alpha", 10, "--emin=-0", "--trials", 3),
+                     MINUS_ZERO, id="coverage-minus-zero"),
+    ])
+    def test_collapsed_bin_grid_exits_2(self, run_cli, schemas, tmp_path, argv, message):
         # Steps of 0.5 keV at 1e16 keV round back onto the first center, so
-        # every command rejects the grid as a spectrum file's bins.
+        # every command rejects the grid as a spectrum file's bins; each
+        # reports any bad grid with the one checked builder's message.
         out = tmp_path / "out"
         r = run_cli(*argv, "--out", out)
         assert (r.code, r.out) == (2, "")
         jsonschema.validate(r.error, schemas["error"])
-        assert r.error["error"] == {
-            "type": "validation",
-            "message": "bins out of order: center 1e+16 keV after 1e+16 keV"}
+        assert r.error["error"] == {"type": "validation", "message": message}
         assert not out.exists()
+
+    def test_a_grid_builds_at_most_one_bin(self, run_cli, monkeypatch):
+        # A --bins or coverage grid is checked as centers: only its lowest
+        # bin is built.
+        built = []
+        energy_bin_init = spontrad.spectrum.EnergyBin.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            energy_bin_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(spontrad.spectrum.EnergyBin, "__init__", counted_init)
+        r = run_cli("limit", "--y-total", 10, "--bins", "1:100000:1")
+        assert r.code == 0
+        assert len(built) <= 1
+        built.clear()
+        config = spontrad.synth.SynthConfig(alpha_true=115, e_min=1, e_max=100000,
+                                            bin_width=1)
+        assert spontrad.synth.run_coverage(config, 3, "bayes", 0.95).trials == 3
+        assert len(built) <= 1
 
     @pytest.mark.parametrize("command", ["synth", "coverage"])
     @pytest.mark.parametrize("seed,code", [(-1, 2), (0, 0), (2 ** 64 - 1, 0), (2 ** 64, 2)])
@@ -1115,7 +1154,7 @@ class TestCoverage:
         def unexpected(*args):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(spontrad.synth, "zero_count_bins", unexpected)
+        monkeypatch.setattr(spontrad.synth, "center_grid", unexpected)
         r = run_cli("coverage", "--alpha", 115, "--trials", trials)
         assert (r.code, r.out) == (2, "")
         jsonschema.validate(r.error, schemas["error"])

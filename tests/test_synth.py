@@ -156,8 +156,8 @@ class TestSampleSpectrum:
         assert held <= 64 * 2 ** 10
 
 
-def _in_new_thread(fn):
-    """fn() in a thread of its own, whose grid cache starts empty."""
+def _in_other_thread(fn):
+    """fn() in a new thread, which has drawn nothing before."""
     out = []
     worker = threading.Thread(target=lambda: out.append(fn()))
     worker.start()
@@ -166,36 +166,36 @@ def _in_new_thread(fn):
     return out[0]
 
 
-class TestReusedGrid:
-    def test_a_grid_is_reused_only_for_the_same_typed_values(self):
+class TestSpectrumIndependentOfHistoryAndThread:
+    def test_equal_int_and_float_configs_keep_their_own_types(self):
         # Equal configs of int and float fields have centers of their own
-        # types, so the float grid is not reused for the int config.
+        # types, whichever of them was drawn before.
         floats = SynthConfig(alpha_true=115.0, seed=1, **WINDOW)
         ints = SynthConfig(alpha_true=115, e_min=15, e_max=48, bin_width=1, seed=1)
         assert floats == ints
-        fresh = _in_new_thread(lambda: repr(sample_spectrum(ints)))
+        fresh = _in_other_thread(lambda: repr(sample_spectrum(ints)))
         sample_spectrum(floats)
         assert repr(sample_spectrum(ints)) == fresh
         assert type(sample_spectrum(ints).bins[0].center) is int
 
-    def test_another_seed_reuses_the_grid_and_keeps_its_spectra(self):
+    def test_a_draw_of_another_seed_changes_no_later_spectrum(self):
         cfg = SynthConfig(alpha_true=1000.0, seed=5, **WINDOW)
-        fresh = _in_new_thread(lambda: [sample_spectrum(changed(cfg, seed=6), i)
-                                        for i in range(20)])
+        fresh = _in_other_thread(lambda: [sample_spectrum(changed(cfg, seed=6), i)
+                                          for i in range(20)])
         sample_spectrum(cfg)
         assert [sample_spectrum(changed(cfg, seed=6), i) for i in range(20)] == fresh
 
-    def test_threads_draw_from_plans_of_their_own(self):
-        # Each thread keeps its own last grid and plan, whose sums its draws
-        # grow.  Four threads on two CPUs, switching every microsecond, draw
-        # the same configs in turn; each must draw what one thread alone
-        # draws, which a plan grown by two threads at once could break.
+    def test_concurrent_threads_draw_what_one_thread_draws(self):
+        # Each call builds its own grid and plan, whose sums its draws grow.
+        # Four threads on two CPUs, switching every microsecond, draw the
+        # same configs in turn; each must draw what one thread alone draws,
+        # which a plan shared by two threads at once could break.
         configs = [SynthConfig(alpha_true=a, seed=3, **WINDOW) for a in (500.0, 1000.0)]
 
         def spectra():
             return [[sample_spectrum(c, i).bins for c in configs] for i in range(30)]
 
-        want = _in_new_thread(spectra)
+        want = _in_other_thread(spectra)
         got = {}
 
         def draw(k):
