@@ -13,6 +13,7 @@ callers compare or print equality and a repr.
 import math
 import operator
 import os
+from bisect import bisect_right
 from itertools import islice, repeat
 
 from .errors import (SelectionEmptyError, SpectrumFormatError, ValidationError)
@@ -142,8 +143,8 @@ def center_grid(lo: float, hi: float, width: float) -> list:
     n = math.floor(steps) + 1 if math.isfinite(steps) else math.inf
     check_grid_size(n, "bin grid")
     EnergyBin(center=lo, width=width, counts=0)
-    grid = [lo + i * width for i in range(n)]
-    centers = [c for c in grid if c <= hi + 1e-9 * width]
+    centers = [lo + i * width for i in range(n)]
+    del centers[bisect_right(centers, hi + 1e-9 * width):]
     _check_order(centers, repeat(width))
     return centers
 

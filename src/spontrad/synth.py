@@ -7,10 +7,12 @@ portable generator in the kernels backend, with per-trial streams derived
 from (seed, trial index), so every artifact here is bit-reproducible.
 """
 
+import bisect
 import functools
 import math
 import os
 import threading
+from collections import Counter
 
 from .backend import kernels
 from .bayes import PosteriorSpec, harmonic_sum, lambda_credible_limit
@@ -215,10 +217,10 @@ def _split_trials(count, trials: int) -> tuple:
     "covered skipped" to a pipe and always leaves through os._exit, so it
     never returns into the caller or flushes inherited stdio buffers.
     Trials are deterministic, so a child that writes nothing has failed and
-    its range is re-run here; ranges are summed in trial order, so that
-    re-run raises the exception the serial loop would.  A range that could
-    not be forked also runs here.  A process with other threads is never
-    forked, and no child outlives the call.
+    its range is re-run here; ranges are summed in trial order, so the
+    chi2 route's re-run raises the exception its serial loop would.  A
+    range that could not be forked also runs here.  A process with other
+    threads is never forked, and no child outlives the call.
     """
     workers = max(1, min(_usable_cpus(), trials // MIN_TRIALS_PER_WORKER))
     if workers == 1 or not hasattr(os, "fork") or threading.active_count() != 1:
@@ -271,15 +273,16 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     """Fraction of per-trial upper limits that lie at or above alpha_true.
 
     Each trial gives the limit alpha_limit_for_trial gives on
-    sample_spectrum(config, i), computed on plain count lists.  The counts
-    come from the trials' own streams, drawn a block of trials at a time
-    (_trial_streams).  A bayes limit depends on the trial only through its
-    total count, so it is computed once per distinct total.  A chi2 limit
-    is alpha_upper_limit's expression on closed_form's sums, with the
-    normal quantile taken once per study: no FitResult is built and no chi2
-    is summed.  The grid is checked once, as centers; no spectrum is built.
-    The trials are split across the CPUs the process may use
-    (_split_trials); the report does not depend on how.
+    sample_spectrum(config, i), computed on plain count lists drawn a block
+    of trials at a time (_trial_streams).  A bayes limit grows with the
+    trial's total count alone, so a range of trials tallies its totals and
+    counts those from y* on, the least drawn total whose limit reaches
+    alpha_true, found by bisection; the limit memo serves
+    alpha_limit_for_trial.  A chi2 limit is alpha_upper_limit's expression
+    on closed_form's sums, with the normal quantile taken once per study:
+    no FitResult is built and no chi2 is summed.  The grid is checked once,
+    as centers; no spectrum is built.  The trials are split across the CPUs
+    the process may use (_split_trials); the report does not depend on how.
     """
     trials = checked_integer(trials, "trials")
     if trials < 1:
@@ -301,24 +304,22 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
 
     def count(start: int, stop: int) -> tuple:
         """(covered, skipped) over trials start..stop-1."""
-        limits = {}
+        totals = Counter()
         covered = skipped = 0
         for uniform in _trial_streams(config.seed, start, stop, plan):
             counts = kernels.poisson_counts(plan, uniform)
             if method == "bayes":
-                y_total = sum(counts)
-                limit = limits.get(y_total)
-                if limit is None:
-                    limit = limits[y_total] = _bayes_limit(y_total, harmonic, confidence)
+                totals[sum(counts)] += 1
+            elif len(kept := [(c, n) for c, n in zip(window, counts) if n >= CHI2_MIN_COUNTS]) < 2:
+                skipped += 1
             else:
-                kept = [(c, n) for c, n in zip(window, counts) if n >= CHI2_MIN_COUNTS]
-                if len(kept) < 2:
-                    skipped += 1
-                    continue
                 alpha_hat, sigma_alpha = closed_form(kept)
-                limit = alpha_hat + z * sigma_alpha
-            if limit >= config.alpha_true:
-                covered += 1
+                covered += alpha_hat + z * sigma_alpha >= config.alpha_true
+        if totals:  # a limit grows with the total: the trials from y* on cover
+            drawn = sorted(totals)
+            cut = bisect.bisect_left(drawn, True, key=lambda y: _bayes_limit(
+                y, harmonic, confidence) >= config.alpha_true)
+            covered = sum(totals[y] for y in drawn[cut:])
         return covered, skipped
 
     covered, skipped = _split_trials(count, trials)

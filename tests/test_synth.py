@@ -13,6 +13,7 @@ from scipy import special
 from spontrad import synth
 from spontrad.backend import kernels
 from spontrad.bayes import harmonic_sum
+from spontrad.constants import CHI2_MIN_COUNTS
 from spontrad.errors import (InsufficientDataError, NumericalError, SelectionEmptyError,
                              ValidationError)
 from spontrad.synth import (CoverageReport, SynthConfig, alpha_limit_for_trial,
@@ -43,6 +44,20 @@ class TestSynthConfig:
         assert len(cfg.centers()) == MAX_GRID_POINTS
         with pytest.raises(ValidationError, match="1000001 points exceeds"):
             changed(cfg, e_max=cfg.e_max + 1.0).centers()
+
+    def test_grid_peaks_at_its_result(self):
+        # The center past e_max is cut from the built list, not filtered
+        # into a copy of it (another 800 KB here), so the peak is the result.
+        cfg = SynthConfig(alpha_true=1.0, e_min=1.0, e_max=10 ** 5 - 0.4, bin_width=1.0)
+        tracemalloc.start()
+        try:
+            centers = cfg.centers()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(centers), centers[-1]) == (10 ** 5 - 1, 10 ** 5 - 1.0)
+        held = sys.getsizeof(centers) + sum(map(sys.getsizeof, centers))
+        assert peak < held + 2 ** 16
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -454,22 +469,24 @@ def split(monkeypatch):
 
 
 def _fail_from_trial(monkeypatch, cfg, trials, first_bad):
-    """Make the bayes limit fail for every total first drawn at trial
-    first_bad or later; returns the error a serial study raises."""
+    """Make a chi2 study's closed-form fit fail for the kept bins of trial
+    first_bad and of every later trial whose kept bins no earlier trial had;
+    returns the error a serial chi2 study raises."""
     plan = kernels.poisson_plan(cfg.bin_means())
-    totals = [sum(draw_counts(cfg, plan, i)) for i in range(trials)]
-    bad = set(totals[first_bad:]) - set(totals[:first_bad])
-    assert bad
-    limit = synth._bayes_limit
+    kept = [tuple((c, n) for c, n in zip(cfg.centers(), draw_counts(cfg, plan, i))
+                  if n >= CHI2_MIN_COUNTS) for i in range(trials)]
+    assert all(len(bins) >= 2 for bins in kept)  # no trial is skipped
+    bad = set(kept[first_bad:]) - set(kept[:first_bad])
+    assert kept[first_bad] in bad
+    fit = synth.closed_form
 
-    def failing_limit(y_total, harmonic, confidence):
-        if y_total in bad:
-            raise NumericalError(f"no limit for total {y_total}")
-        return limit(y_total, harmonic, confidence)
+    def failing_fit(bins):
+        if tuple(bins) in bad:
+            raise NumericalError(f"no fit for the bins of trial {kept.index(tuple(bins))}")
+        return fit(bins)
 
-    monkeypatch.setattr(synth, "_bayes_limit", failing_limit)
-    first = next(t for t in totals[first_bad:] if t in bad)
-    return f"no limit for total {first}"
+    monkeypatch.setattr(synth, "closed_form", failing_fit)
+    return f"no fit for the bins of trial {first_bad}"
 
 
 class TestSplitTrials:
@@ -529,7 +546,7 @@ class TestSplitTrials:
         # run prints the error a child raised.
         cfg = SynthConfig(alpha_true=115.0, seed=0, **WINDOW)
         message = _fail_from_trial(monkeypatch, cfg, 20, 15)
-        argv = ("coverage", "--method", "bayes", "--alpha", "115", "--trials", 20)
+        argv = ("coverage", "--method", "chi2", "--alpha", "115", "--trials", 20)
         split(1)
         serial = run_cli(*argv)
         pids = split(3)
@@ -548,11 +565,11 @@ class TestSplitTrials:
         message = _fail_from_trial(monkeypatch, cfg, GOLDEN_TRIALS, first_bad)
         split(1)
         with pytest.raises(NumericalError) as serial:
-            run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
+            run_coverage(cfg, GOLDEN_TRIALS, "chi2", 0.95)
         assert str(serial.value) == message
         pids = split(3)
         with pytest.raises(NumericalError) as parallel:
-            run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
+            run_coverage(cfg, GOLDEN_TRIALS, "chi2", 0.95)
         assert len(pids) == 2
         assert str(parallel.value) == str(serial.value)
 
@@ -591,6 +608,16 @@ class TestBlockDraws:
         ("chi2", 1e4, 520, 2),       # every mean on PTRS
         ("bayes", 1e4, 300, 1),
         ("bayes", 0.0, 300, 2),      # every mean zero
+        # The README's saw-tooth alphas, each next to the step of y* it is
+        # rounded from: there alpha equals the limit of a total.
+        ("bayes", 4.48, 300, 2),
+        ("bayes", 4.4813193963621085, 300, 2),
+        ("bayes", 10.06, 300, 1),
+        ("bayes", 10.062775544460406, 300, 1),
+        ("bayes", 100.56354743924055, 300, 2),
+        ("bayes", 100.6, 300, 2),
+        ("bayes", 1000.1, 300, 1),
+        ("bayes", 1000.1292556864211, 300, 1),
     ])
     def test_study_matches_the_per_trial_route(self, split, method, alpha, trials, workers):
         cfg = SynthConfig(alpha_true=alpha, seed=20260823, **WINDOW)
@@ -598,6 +625,26 @@ class TestBlockDraws:
         split(workers)
         report = run_coverage(cfg, trials, method, 0.95)
         assert (report.covered, report.skipped) == (covered, skipped)
+
+    def test_bayes_study_bisects_its_drawn_totals(self, split, monkeypatch):
+        # A limit grows with the total, so a study finds y* among the
+        # totals it drew, in about log2 of their number of limits.
+        cfg = SynthConfig(alpha_true=1e4, seed=12345, **WINDOW)
+        plan = kernels.poisson_plan(cfg.bin_means())
+        drawn = {sum(kernels.poisson_counts(plan, uniform))
+                 for uniform in synth._trial_streams(cfg.seed, 0, 3000, plan)}
+        calls = []
+        limit = synth._bayes_limit
+
+        def counted_limit(y_total, harmonic, confidence):
+            calls.append(y_total)
+            return limit(y_total, harmonic, confidence)
+
+        monkeypatch.setattr(synth, "_bayes_limit", counted_limit)
+        split(1)
+        assert run_coverage(cfg, 3000, "bayes", 0.95).covered == 2843
+        assert len(calls) <= 10
+        assert set(calls) <= drawn
 
     def test_zero_grid_chi2_study_skips_every_trial(self, split):
         cfg = SynthConfig(alpha_true=0.0, seed=3, **WINDOW)
