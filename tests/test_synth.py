@@ -491,6 +491,53 @@ class TestInProcessStudy:
         assert str(raised.value) == message
 
 
+def _golden_report(method, alpha, background, confidence, seed, expected):
+    """(report, pinned report) of one GOLDEN_COVERAGE study."""
+    cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
+                      seed=seed, **WINDOW)
+    trials, covered, skipped = expected
+    return (run_coverage(cfg, GOLDEN_TRIALS, method, confidence),
+            CoverageReport(trials=trials, covered=covered, method=method,
+                           confidence=confidence, skipped=skipped))
+
+
+class TestStudyIndependentOfHistoryAndThread:
+    @pytest.mark.parametrize("order", ["forward", "reversed", "twice"])
+    def test_golden_studies_identical_in_any_order(self, order):
+        # Every study a process runs shares the bayes limit memo; what an
+        # earlier study left in it changes no later report.
+        studies = {"forward": GOLDEN_COVERAGE, "reversed": GOLDEN_COVERAGE[::-1],
+                   "twice": [s for s in GOLDEN_COVERAGE for _ in range(2)]}[order]
+        synth._bayes_limit.cache_clear()
+        for study in studies:
+            report, pinned = _golden_report(*study)
+            assert report == pinned, study
+
+    def test_concurrent_studies_report_what_one_thread_reports(self):
+        # Four threads, switching every microsecond, run the golden studies
+        # at once over one shared memo; each gets the pinned reports.
+        got = {}
+
+        def study(k):
+            got[k] = [_golden_report(*s) for s in GOLDEN_COVERAGE[k::4]]
+
+        synth._bayes_limit.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=study, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        pairs = [pair for k in range(4) for pair in got[k]]
+        assert len(pairs) == len(GOLDEN_COVERAGE)
+        assert all(report == pinned for report, pinned in pairs)
+
+
 def _per_trial(cfg, trials, method, confidence=0.95):
     """(covered, skipped) of trials 0..trials-1 by the one-off route:
     alpha_limit_for_trial on sample_spectrum, trial by trial."""
@@ -525,6 +572,8 @@ class TestBlockDraws:
         ("chi2", 1e4, 520),       # every mean on PTRS
         ("bayes", 1e4, 300),
         ("bayes", 0.0, 300),      # every mean zero
+        ("bayes", 115.0, 1),      # a study of one trial
+        ("chi2", 1000.0, 257),    # one trial past a block of _BLOCK_TRIALS
         # The README's saw-tooth alphas, each next to the step of y* it is
         # rounded from: there alpha equals the limit of a total.
         ("bayes", 4.48, 300),
