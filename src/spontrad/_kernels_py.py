@@ -554,8 +554,8 @@ def poisson_plan(means):
 
     Drawing mutates the plan: the sums grow as far as the uniforms reach
     and the memo fills.  Neither changes a count, so one plan serves any
-    number of streams in any order.  One plan is not shared across
-    threads.  Invalid means raise ValueError.
+    number of streams in any order; a forked worker grows its own copy.
+    One plan is not shared across threads.  Invalid means raise ValueError.
     """
     log_factorial = {}
     sums = []

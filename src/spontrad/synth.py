@@ -10,6 +10,8 @@ from (seed, trial index), so every artifact here is bit-reproducible.
 import bisect
 import functools
 import math
+import os
+import threading
 from collections import Counter
 
 from .backend import kernels
@@ -22,6 +24,9 @@ from .spectrum import (MAX_TRIALS, BinnedSpectrum, EnergyBin, RangeSelection, Re
 
 # Largest bin mean sampled: up to 2**52 every count is exact as a float.
 MAX_BIN_MEAN = 2.0 ** 52
+# Fewest trials a forked worker is given, so that a fork (a few ms with the
+# copy-on-write faults after it) splits only studies whose trials cost more.
+MIN_TRIALS_PER_WORKER = 256
 # A study draws its trials in blocks of up to _BLOCK_TRIALS lane streams
 # (kernels.lane_uniforms), and a block's rows hold at most about
 # _BLOCK_UNIFORMS uniforms: a wide grid takes fewer trials per block, and a
@@ -134,8 +139,8 @@ def draw_counts(config: SynthConfig, plan, trial_index: int = 0) -> list:
     return kernels.poisson_counts(plan, uniform)
 
 
-def _trial_streams(seed: int, trials: int, plan):
-    """The uniform callable of each trial 0..trials-1 of seed, in order.
+def _trial_streams(seed: int, start: int, stop: int, plan):
+    """The uniform callable of each trial start..stop-1 of seed, in order.
 
     A block's rows hold about the uniforms a trial draws from plan: one per
     inversion mean and 5/2 per PTRS mean (two per attempt, and PTRS accepts
@@ -147,8 +152,8 @@ def _trial_streams(seed: int, trials: int, plan):
     ptrs = sum(cdf is None and state is not None for cdf, state in zip(sums, states))
     row = inversion + math.ceil(2.5 * ptrs)
     block = max(1, min(_BLOCK_TRIALS, _BLOCK_UNIFORMS // max(row, 1)))
-    for first in range(0, trials, block):
-        last = min(first + block, trials)
+    for first in range(start, stop, block):
+        last = min(first + block, stop)
         if last - first == 1:
             yield kernels.Rng(kernels.mix_seed(seed, first)).uniform
         else:
@@ -197,6 +202,72 @@ def alpha_limit_for_trial(spectrum: BinnedSpectrum, config: SynthConfig,
     return _bayes_limit(total_counts(spectrum), harmonic_sum(spectrum.bins), confidence)
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split_trials(count, trials: int) -> tuple:
+    """Sum count(start, stop) -> (covered, skipped) over trials 0..trials-1.
+
+    The trials are cut into one contiguous range per worker.  The first
+    range runs here; each other range runs in a forked child that writes
+    "covered skipped" to a pipe and always leaves through os._exit, so it
+    never returns into the caller or flushes inherited stdio buffers.
+    Trials are deterministic, so a child that writes nothing has failed and
+    its range is re-run here; ranges are summed in trial order, so the
+    chi2 route's re-run raises the exception its serial loop would.  A
+    range that could not be forked also runs here.  A process with other
+    threads is never forked, and no child outlives the call.
+    """
+    workers = max(1, min(_usable_cpus(), trials // MIN_TRIALS_PER_WORKER))
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() != 1:
+        return count(0, trials)
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    children = []  # (pid, read end of its pipe), one per range after the first
+    reaped = 0
+    try:
+        for start, stop in ranges[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the rest run here
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                try:
+                    os.write(write_fd, b"%d %d" % count(start, stop))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        covered, skipped = count(*ranges[0])
+        for k, (start, stop) in enumerate(ranges[1:]):
+            reply = b""
+            if k < len(children):
+                pid, read_fd = children[k]
+                # One write shorter than PIPE_BUF arrives whole: one read gets it.
+                reply = os.read(read_fd, 64)
+                os.waitpid(pid, 0)
+                reaped += 1
+            c, s = map(int, reply.split()) if reply else count(start, stop)
+            covered += c
+            skipped += s
+        return covered, skipped
+    finally:
+        if reaped < len(children):
+            import signal  # only here: every spontrad command would pay its import
+            for pid, _ in children[reaped:]:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for _, read_fd in children:
+            os.close(read_fd)
+
+
 def run_coverage(config: SynthConfig, trials: int, method: str,
                  confidence: float) -> CoverageReport:
     """Fraction of per-trial upper limits that lie at or above alpha_true.
@@ -204,14 +275,14 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     Each trial gives the limit alpha_limit_for_trial gives on
     sample_spectrum(config, i), computed on plain count lists drawn a block
     of trials at a time (_trial_streams).  A bayes limit grows with the
-    trial's total count alone, so the study tallies its totals and counts
-    those from y* on, the least drawn total whose limit reaches alpha_true,
-    found by bisection; the limit memo serves alpha_limit_for_trial.  A
-    chi2 limit is alpha_upper_limit's expression on closed_form's sums,
-    with the normal quantile taken once per study: no FitResult is built
-    and no chi2 is summed.  The grid is checked once, as centers; no
-    spectrum is built.  Every trial runs in the calling process, in trial
-    order, so a chi2 study raises the first failing trial's error.
+    trial's total count alone, so a range of trials tallies its totals and
+    counts those from y* on, the least drawn total whose limit reaches
+    alpha_true, found by bisection; the limit memo serves
+    alpha_limit_for_trial.  A chi2 limit is alpha_upper_limit's expression
+    on closed_form's sums, with the normal quantile taken once per study:
+    no FitResult is built and no chi2 is summed.  The grid is checked once,
+    as centers; no spectrum is built.  The trials are split across the CPUs
+    the process may use (_split_trials); the report does not depend on how.
     """
     trials = checked_integer(trials, "trials")
     if trials < 1:
@@ -231,22 +302,27 @@ def run_coverage(config: SynthConfig, trials: int, method: str,
     # alpha_upper_limit's normal quantile, taken once for a chi2 study.
     z = normal_quantile(confidence) if method == "chi2" else None
 
-    totals = Counter()
-    covered = skipped = 0
-    for uniform in _trial_streams(config.seed, trials, plan):
-        counts = kernels.poisson_counts(plan, uniform)
-        if method == "bayes":
-            totals[sum(counts)] += 1
-        elif len(kept := [(c, n) for c, n in zip(window, counts) if n >= CHI2_MIN_COUNTS]) < 2:
-            skipped += 1
-        else:
-            alpha_hat, sigma_alpha = closed_form(kept)
-            covered += alpha_hat + z * sigma_alpha >= config.alpha_true
-    if totals:  # a limit grows with the total: the trials from y* on cover
-        drawn = sorted(totals)
-        cut = bisect.bisect_left(drawn, True, key=lambda y: _bayes_limit(
-            y, harmonic, confidence) >= config.alpha_true)
-        covered = sum(totals[y] for y in drawn[cut:])
+    def count(start: int, stop: int) -> tuple:
+        """(covered, skipped) over trials start..stop-1."""
+        totals = Counter()
+        covered = skipped = 0
+        for uniform in _trial_streams(config.seed, start, stop, plan):
+            counts = kernels.poisson_counts(plan, uniform)
+            if method == "bayes":
+                totals[sum(counts)] += 1
+            elif len(kept := [(c, n) for c, n in zip(window, counts) if n >= CHI2_MIN_COUNTS]) < 2:
+                skipped += 1
+            else:
+                alpha_hat, sigma_alpha = closed_form(kept)
+                covered += alpha_hat + z * sigma_alpha >= config.alpha_true
+        if totals:  # a limit grows with the total: the trials from y* on cover
+            drawn = sorted(totals)
+            cut = bisect.bisect_left(drawn, True, key=lambda y: _bayes_limit(
+                y, harmonic, confidence) >= config.alpha_true)
+            covered = sum(totals[y] for y in drawn[cut:])
+        return covered, skipped
+
+    covered, skipped = _split_trials(count, trials)
     completed = trials - skipped
     if completed == 0:
         raise InsufficientDataError(

@@ -442,6 +442,32 @@ class TestGoldenCoverage:
             assert str(studied.value) == str(sampled.value)
 
 
+@pytest.fixture()
+def split(monkeypatch):
+    """split(n) makes every study fork into n workers; returns the child pids.
+
+    After the test no child of this process may be left, reaped or not.
+    """
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def set_workers(n):
+        monkeypatch.setattr(synth, "_usable_cpus", lambda: n)
+        monkeypatch.setattr(synth, "MIN_TRIALS_PER_WORKER", 1)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    yield set_workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _fail_from_trial(monkeypatch, cfg, trials, first_bad):
     """Make a chi2 study's closed-form fit fail for the kept bins of trial
     first_bad and of every later trial whose kept bins no earlier trial had;
@@ -463,79 +489,89 @@ def _fail_from_trial(monkeypatch, cfg, trials, first_bad):
     return f"no fit for the bins of trial {first_bad}"
 
 
-class TestInProcessStudy:
-    def test_study_never_forks(self, monkeypatch):
-        # The README's chi2 row: every trial runs in the calling process.
-        def no_fork():
-            raise AssertionError("a coverage study forked")
+class TestSplitTrials:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_golden_studies_identical_for_any_split(self, split, workers):
+        pids = split(workers)
+        for method, alpha, background, confidence, seed, expected in GOLDEN_COVERAGE:
+            cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
+                              seed=seed, **WINDOW)
+            trials, covered, skipped = expected
+            assert run_coverage(cfg, GOLDEN_TRIALS, method, confidence) == CoverageReport(
+                trials=trials, covered=covered, method=method, confidence=confidence,
+                skipped=skipped)
+        assert len(pids) == (workers - 1) * len(GOLDEN_COVERAGE)
 
-        monkeypatch.setattr(os, "fork", no_fork)
-        cfg = SynthConfig(alpha_true=1000.0, seed=12345, **WINDOW)
-        assert run_coverage(cfg, 3000, "chi2", 0.95).covered == 2236
+    def test_small_study_runs_serially(self, split, monkeypatch):
+        pids = split(4)
+        monkeypatch.setattr(synth, "MIN_TRIALS_PER_WORKER", 30)
+        cfg = SynthConfig(alpha_true=115.0, seed=2, **WINDOW)
+        run_coverage(cfg, 59, "bayes", 0.95)
+        assert pids == []
+        run_coverage(cfg, 60, "bayes", 0.95)
+        assert len(pids) == 1
 
-    def test_cli_prints_the_first_failing_trials_error(self, run_cli, monkeypatch):
+    def test_threaded_caller_is_not_forked(self, split):
+        pids = split(3)
+        cfg = SynthConfig(alpha_true=115.0, seed=2, **WINDOW)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            report = run_coverage(cfg, GOLDEN_TRIALS, "bayes", 0.95)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pids == []
+        assert (report.trials, report.covered) == (60, 58)
+
+    def test_failed_fork_runs_the_range_here(self, split, monkeypatch):
+        pids = split(3)
+        fork = os.fork
+
+        def fork_once():
+            if pids:
+                raise BlockingIOError("no more processes")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        cfg = SynthConfig(alpha_true=1000.0, seed=7, **WINDOW)
+        report = run_coverage(cfg, GOLDEN_TRIALS, "chi2", 0.95)
+        assert len(pids) == 1
+        assert (report.trials, report.covered, report.skipped) == (60, 46, 0)
+
+    def test_cli_error_identical_when_split(self, split, run_cli, monkeypatch):
+        # The first failing trial lies in the last child's range, so the split
+        # run prints the error a child raised.
         cfg = SynthConfig(alpha_true=115.0, seed=0, **WINDOW)
         message = _fail_from_trial(monkeypatch, cfg, 20, 15)
-        result = run_cli("coverage", "--method", "chi2", "--alpha", "115", "--trials", 20)
-        assert result.code == 4
-        assert result.error["error"]["message"] == message
-        assert result.out == ""
+        argv = ("coverage", "--method", "chi2", "--alpha", "115", "--trials", 20)
+        split(1)
+        serial = run_cli(*argv)
+        pids = split(3)
+        parallel = run_cli(*argv)
+        assert len(pids) == 2
+        assert serial.code == parallel.code == 4
+        assert serial.error["error"]["message"] == message
+        assert parallel.err == serial.err
+        assert parallel.out == serial.out == ""
 
     @pytest.mark.parametrize("first_bad", [0, 25, 45])
-    def test_failing_trial_raises_the_serial_error(self, monkeypatch, first_bad):
-        # Later trials fail too; the study raises the first one's error.
+    def test_failing_trial_raises_the_serial_error(self, split, monkeypatch, first_bad):
+        # Which range holds the first failing trial decides who raises it:
+        # the parent (0), the first child (25) or the last child (45).
         cfg = SynthConfig(alpha_true=115.0, seed=20260823, **WINDOW)
         message = _fail_from_trial(monkeypatch, cfg, GOLDEN_TRIALS, first_bad)
-        with pytest.raises(NumericalError) as raised:
+        split(1)
+        with pytest.raises(NumericalError) as serial:
             run_coverage(cfg, GOLDEN_TRIALS, "chi2", 0.95)
-        assert str(raised.value) == message
-
-
-def _golden_report(method, alpha, background, confidence, seed, expected):
-    """(report, pinned report) of one GOLDEN_COVERAGE study."""
-    cfg = SynthConfig(alpha_true=alpha, flat_background_per_bin=background,
-                      seed=seed, **WINDOW)
-    trials, covered, skipped = expected
-    return (run_coverage(cfg, GOLDEN_TRIALS, method, confidence),
-            CoverageReport(trials=trials, covered=covered, method=method,
-                           confidence=confidence, skipped=skipped))
-
-
-class TestStudyIndependentOfHistoryAndThread:
-    @pytest.mark.parametrize("order", ["forward", "reversed", "twice"])
-    def test_golden_studies_identical_in_any_order(self, order):
-        # Every study a process runs shares the bayes limit memo; what an
-        # earlier study left in it changes no later report.
-        studies = {"forward": GOLDEN_COVERAGE, "reversed": GOLDEN_COVERAGE[::-1],
-                   "twice": [s for s in GOLDEN_COVERAGE for _ in range(2)]}[order]
-        synth._bayes_limit.cache_clear()
-        for study in studies:
-            report, pinned = _golden_report(*study)
-            assert report == pinned, study
-
-    def test_concurrent_studies_report_what_one_thread_reports(self):
-        # Four threads, switching every microsecond, run the golden studies
-        # at once over one shared memo; each gets the pinned reports.
-        got = {}
-
-        def study(k):
-            got[k] = [_golden_report(*s) for s in GOLDEN_COVERAGE[k::4]]
-
-        synth._bayes_limit.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=study, args=(k,)) for k in range(4)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        pairs = [pair for k in range(4) for pair in got[k]]
-        assert len(pairs) == len(GOLDEN_COVERAGE)
-        assert all(report == pinned for report, pinned in pairs)
+        assert str(serial.value) == message
+        pids = split(3)
+        with pytest.raises(NumericalError) as parallel:
+            run_coverage(cfg, GOLDEN_TRIALS, "chi2", 0.95)
+        assert len(pids) == 2
+        assert str(parallel.value) == str(serial.value)
 
 
 def _per_trial(cfg, trials, method, confidence=0.95):
@@ -554,50 +590,51 @@ def _per_trial(cfg, trials, method, confidence=0.95):
 
 class TestBlockDraws:
     @pytest.mark.parametrize("alpha", [115.0, 1000.0, 1e4, 0.0])
-    @pytest.mark.parametrize("trials", [600, 512, 257, 1])
-    def test_streams_give_each_trials_own_counts(self, alpha, trials):
-        # Whole blocks with a partial last one, whole blocks only, a last
-        # block of one, a study of one; at alpha 1e4 every mean takes PTRS
-        # and rows often run out, at 0 no mean takes a uniform.
+    @pytest.mark.parametrize("start,stop", [(0, 600), (255, 258), (1500, 1800), (7, 8)])
+    def test_streams_give_each_trials_own_counts(self, alpha, start, stop):
+        # Whole and partial blocks, ranges off a block edge, a block of one;
+        # at alpha 1e4 every mean takes PTRS and rows often run out, at 0
+        # no mean takes a uniform.
         cfg = SynthConfig(alpha_true=alpha, seed=20260823, **WINDOW)
         plan = kernels.poisson_plan(cfg.bin_means())
         drawn = [kernels.poisson_counts(plan, uniform)
-                 for uniform in synth._trial_streams(cfg.seed, trials, plan)]
-        assert drawn == [draw_counts(cfg, plan, i) for i in range(trials)]
+                 for uniform in synth._trial_streams(cfg.seed, start, stop, plan)]
+        assert drawn == [draw_counts(cfg, plan, i) for i in range(start, stop)]
 
-    @pytest.mark.parametrize("method,alpha,trials", [
-        ("bayes", 115.0, 600),    # two whole blocks and a partial one
-        ("bayes", 115.0, 3000),
-        ("chi2", 1000.0, 600),
-        ("chi2", 1e4, 520),       # every mean on PTRS
-        ("bayes", 1e4, 300),
-        ("bayes", 0.0, 300),      # every mean zero
-        ("bayes", 115.0, 1),      # a study of one trial
-        ("chi2", 1000.0, 257),    # one trial past a block of _BLOCK_TRIALS
+    @pytest.mark.parametrize("method,alpha,trials,workers", [
+        ("bayes", 115.0, 600, 1),    # two whole blocks and a partial one
+        ("bayes", 115.0, 3000, 2),   # the second range starts at 1500
+        ("chi2", 1000.0, 600, 3),    # three ranges of 200
+        ("chi2", 1e4, 520, 2),       # every mean on PTRS
+        ("bayes", 1e4, 300, 1),
+        ("bayes", 0.0, 300, 2),      # every mean zero
+        ("bayes", 115.0, 1, 1),      # a study of one trial
+        ("chi2", 1000.0, 257, 1),    # a last block of one trial
         # The README's saw-tooth alphas, each next to the step of y* it is
         # rounded from: there alpha equals the limit of a total.
-        ("bayes", 4.48, 300),
-        ("bayes", 4.4813193963621085, 300),
-        ("bayes", 10.06, 300),
-        ("bayes", 10.062775544460406, 300),
-        ("bayes", 100.56354743924055, 300),
-        ("bayes", 100.6, 300),
-        ("bayes", 1000.1, 300),
-        ("bayes", 1000.1292556864211, 300),
+        ("bayes", 4.48, 300, 2),
+        ("bayes", 4.4813193963621085, 300, 2),
+        ("bayes", 10.06, 300, 1),
+        ("bayes", 10.062775544460406, 300, 1),
+        ("bayes", 100.56354743924055, 300, 2),
+        ("bayes", 100.6, 300, 2),
+        ("bayes", 1000.1, 300, 1),
+        ("bayes", 1000.1292556864211, 300, 1),
     ])
-    def test_study_matches_the_per_trial_route(self, method, alpha, trials):
+    def test_study_matches_the_per_trial_route(self, split, method, alpha, trials, workers):
         cfg = SynthConfig(alpha_true=alpha, seed=20260823, **WINDOW)
         covered, skipped = _per_trial(cfg, trials, method)
+        split(workers)
         report = run_coverage(cfg, trials, method, 0.95)
         assert (report.covered, report.skipped) == (covered, skipped)
 
-    def test_bayes_study_bisects_its_drawn_totals(self, monkeypatch):
+    def test_bayes_study_bisects_its_drawn_totals(self, split, monkeypatch):
         # A limit grows with the total, so a study finds y* among the
         # totals it drew, in about log2 of their number of limits.
         cfg = SynthConfig(alpha_true=1e4, seed=12345, **WINDOW)
         plan = kernels.poisson_plan(cfg.bin_means())
         drawn = {sum(kernels.poisson_counts(plan, uniform))
-                 for uniform in synth._trial_streams(cfg.seed, 3000, plan)}
+                 for uniform in synth._trial_streams(cfg.seed, 0, 3000, plan)}
         calls = []
         limit = synth._bayes_limit
 
@@ -606,13 +643,15 @@ class TestBlockDraws:
             return limit(y_total, harmonic, confidence)
 
         monkeypatch.setattr(synth, "_bayes_limit", counted_limit)
+        split(1)
         assert run_coverage(cfg, 3000, "bayes", 0.95).covered == 2843
         assert len(calls) <= 10
         assert set(calls) <= drawn
 
-    def test_zero_grid_chi2_study_skips_every_trial(self):
+    def test_zero_grid_chi2_study_skips_every_trial(self, split):
         cfg = SynthConfig(alpha_true=0.0, seed=3, **WINDOW)
         assert _per_trial(cfg, 300, "chi2") == (0, 300)
+        split(2)
         with pytest.raises(InsufficientDataError, match="all 300 trials were skipped"):
             run_coverage(cfg, 300, "chi2", 0.95)
 
@@ -645,6 +684,7 @@ class TestBlockDraws:
                 yield uniform
 
         monkeypatch.setattr(synth, "_trial_streams", traced)
+        monkeypatch.setattr(synth, "MIN_TRIALS_PER_WORKER", 10 ** 9)
         assert run_coverage(cfg, trials, "bayes", 0.95).trials == trials
         assert len(peaks) == trials + 1
         assert max(peaks) < 8 * 2 ** 20
@@ -655,7 +695,7 @@ class TestExactBayesCoverage:
     mean mu, the sum of the bin means.  So a study covers with probability
     P(Y >= y*), y* the least total whose limit reaches alpha_true: scipy's
     gammainc(y*, mu), or 1 where y* = 0.  This judges the sampler, the
-    plan, the block draws and the memo by their statistics,
+    plan, the block draws, the fork split and the memo by their statistics,
     apart from the pinned counts."""
 
     TRIALS = 1000
@@ -697,7 +737,7 @@ class TestChi2StudyTalliesTrialLimits:
     @pytest.mark.parametrize("confidence", [0.68, 0.99])
     @pytest.mark.parametrize("background", [0.0, 2.0])
     @pytest.mark.parametrize("alpha", [50.0, 300.0, 1000.0, 1e4])
-    def test_covered_and_skipped_match_the_one_off_route(self, alpha, background,
+    def test_covered_and_skipped_match_the_one_off_route(self, split, alpha, background,
                                                          confidence):
         # The study computes each chi2 limit from the closed-form sums; the
         # one-off route fits a selected spectrum.  A trial with fewer than
@@ -706,8 +746,10 @@ class TestChi2StudyTalliesTrialLimits:
                           seed=4242, **WINDOW)
         trials = 200
         covered, skipped = _per_trial(cfg, trials, "chi2", confidence)
-        report = run_coverage(cfg, trials, "chi2", confidence)
-        assert (report.covered, report.skipped) == (covered, skipped)
+        for workers in (1, 2):
+            split(workers)
+            report = run_coverage(cfg, trials, "chi2", confidence)
+            assert (report.covered, report.skipped) == (covered, skipped), workers
 
     def test_overflowing_weight_raises_the_one_off_error(self):
         # Centers near 1e-160 keV square to a subnormal, so a weight
