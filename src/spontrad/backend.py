@@ -2,9 +2,7 @@
 
 from spontrad import _kernels_py as kernels
 
-BACKEND = "python"
-
 
 def backend_name() -> str:
     """Name of the kernel backend: always 'python'."""
-    return BACKEND
+    return "python"

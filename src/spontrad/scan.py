@@ -16,7 +16,8 @@ from operator import itemgetter
 
 from .constants import CouplingMode, check_confidence, check_method
 from .errors import ValidationError
-from .spectrum import Record, check_grid_size, csv_rows, headed_csv_rows, write_texts
+from .spectrum import (Record, check_grid_size, checked_integer, csv_rows, headed_csv_rows,
+                       write_texts)
 
 CURVE_CSV_HEADER = "r_c_m,lambda_limit_s_inv,coupling,method,confidence"
 OVERLAY_CSV_HEADER = "r_c_m,lambda_s_inv"
@@ -65,6 +66,7 @@ def log_grid(lo: float, hi: float, n: int) -> list:
     """n log-spaced values from lo to hi inclusive, endpoints exact."""
     if not (0 < lo < math.inf and 0 < hi < math.inf):
         raise ValidationError(f"grid bounds must be positive and finite, got [{lo}, {hi}]")
+    n = checked_integer(n, "grid point count n")
     if n < 1:
         raise ValidationError(f"grid needs at least one point, got n={n}")
     check_grid_size(n, "correlation-length grid")

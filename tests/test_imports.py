@@ -74,17 +74,29 @@ def test_command_leaves_unused_modules_unloaded(argv, absent, tmp_path):
 
 
 def test_public_names_resolve_lazily_to_their_definitions():
+    # The top level is the core API: importing it loads neither the scan,
+    # the plot nor the synthetic studies.
     result = python("""
 import importlib, sys
 import spontrad
 assert not {"spontrad.scan", "spontrad.svg", "spontrad.synth"} & set(sys.modules)
-lazy = spontrad._SOURCES
-assert set(lazy) | {"BACKEND", "backend_name"} == set(spontrad.__all__)
-for name in spontrad.__all__:
-    value = getattr(spontrad, name)
-    home = lazy.get(name, "backend")
-    assert value is getattr(importlib.import_module("spontrad." + home), name), name
-    assert vars(spontrad)[name] is value, name
+homes = {
+    "backend": ("backend_name",),
+    "bayes": ("CredibleLimit", "PosteriorSpec", "gamma_quantile", "harmonic_sum",
+              "lambda_credible_limit", "posterior_spec", "reg_inc_gamma"),
+    "chi2fit": ("FitResult", "alpha_upper_limit", "fit_alpha", "normal_quantile"),
+    "constants": ("CODATA2018", "CouplingMode", "ExposureConfig", "IGEX_EXPOSURE", "conversion",
+                  "coupling_mass_energy", "dimensionless_coupling", "exposure_factor"),
+    "errors": ("InsufficientDataError", "NumericalError", "SelectionEmptyError",
+               "SpectrumFormatError", "SpontradError", "ValidationError"),
+    "spectrum": ("BinnedSpectrum", "EnergyBin", "RangeSelection", "load_spectrum",
+                 "save_spectrum", "select", "total_counts"),
+}
+assert sorted(spontrad.__all__) == sorted(n for names in homes.values() for n in names)
+for home, names in homes.items():
+    module = importlib.import_module("spontrad." + home)
+    for name in names:
+        assert getattr(spontrad, name) is getattr(module, name), name
 print("ok")
 """)
     assert result.stdout == "ok\n", result.stderr
@@ -99,14 +111,29 @@ def test_config_file_names_are_gone():
             getattr(spontrad, name)
 
 
-def test_submodule_import_keeps_the_public_function():
-    # Loading spontrad.scan binds it on the package unless that is prevented.
+def test_moved_names_import_from_their_modules():
+    # The scan, plot and study names are not top-level names: each imports
+    # from its module, and ``from spontrad import scan`` gives the module.
     result = python("""
-import sys
-import spontrad.scan
+import importlib, sys
+import spontrad
+moved = {
+    "scan": ("ExclusionCurve", "ReferencePoint", "builtin_reference_points", "load_curves",
+             "load_overlay_boundary", "log_grid", "save_curves", "scan"),
+    "svg": ("render_exclusion_svg",),
+    "synth": ("CoverageReport", "SynthConfig", "run_coverage", "sample_spectrum"),
+}
+for name in ["BACKEND", *moved, *(n for names in moved.values() for n in names)]:
+    assert not hasattr(spontrad, name), name
+    assert name not in spontrad.__all__, name
+for home, names in moved.items():
+    module = importlib.import_module("spontrad." + home)
+    assert getattr(spontrad, home) is module, home
+    for name in names:
+        assert hasattr(module, name), name
+        assert name == home or not hasattr(spontrad, name), name
 from spontrad import scan
-assert scan is sys.modules["spontrad.scan"].scan
-assert spontrad.scan is scan
+assert scan is sys.modules["spontrad.scan"] and callable(scan.scan)
 print("ok")
 """)
     assert result.stdout == "ok\n", result.stderr
@@ -119,7 +146,6 @@ assert set(spontrad.__all__) <= set(dir(spontrad))
 namespace = {}
 exec("from spontrad import *", namespace)
 assert set(spontrad.__all__) <= set(namespace)
-assert namespace["scan"] is spontrad.scan and callable(namespace["scan"])
 print("ok")
 """)
     assert result.stdout == "ok\n", result.stderr
@@ -135,7 +161,7 @@ def test_kernels_and_backend_name_are_fixed():
     import spontrad._kernels_py
     import spontrad.backend
     assert spontrad.backend.kernels is spontrad._kernels_py
-    assert spontrad.backend_name() == spontrad.BACKEND == "python"
+    assert spontrad.backend_name() == "python"
     # SPONTRAD_BACKEND is not read.
     result = python("import spontrad; print(spontrad.backend_name())",
                     env={"SPONTRAD_BACKEND": "compiled"})

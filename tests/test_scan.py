@@ -40,6 +40,9 @@ class TestLogGrid:
             log_grid(1e-9, 1e-3, 0)
         with pytest.raises(ValidationError):
             log_grid(1e-8, 1e-7, 1)
+        for n in (5.0, 2.5):
+            with pytest.raises(ValidationError, match=f"count n must be an integer, got {n}"):
+                log_grid(1e-9, 1e-3, n)
 
 
 class TestScan:
